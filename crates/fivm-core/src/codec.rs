@@ -28,7 +28,7 @@
 
 use crate::hash::FxHashMap;
 use crate::relation::Relation;
-use crate::ring::cofactor::{Cofactor, DenseCofactor};
+use crate::ring::cofactor::{block_len, Cofactor};
 use crate::ring::degree::DegreeRing;
 use crate::ring::relational::RelPayload;
 use crate::ring::Semiring;
@@ -372,68 +372,90 @@ impl<R: Semiring + Codec> Codec for Delta<R> {
 // Ring payloads used by the bench suites
 // ---------------------------------------------------------------------
 
+/// A decoded cofactor support of up to this many variables is always
+/// accepted (the paper's widest schema has 43). A wider one must have its
+/// dense block fit in the bytes the input held, so corrupt product keys
+/// naming many distinct variables cannot drive a quadratic allocation.
+const COFACTOR_FREE_SUPPORT: usize = 256;
+
+/// Appends `[n: u32][(key, value)…]` for the entries whose value is not
+/// exactly zero.
+#[inline]
+fn put_nonzero<K: Codec>(out: &mut Vec<u8>, entries: impl Iterator<Item = (K, f64)>) {
+    let at = out.len();
+    put_count(out, 0);
+    let mut n = 0;
+    for (k, v) in entries {
+        if v != 0.0 {
+            k.encode(out);
+            v.encode(out);
+            n += 1;
+        }
+    }
+    out[at..at + 4].copy_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// `[count: i64][n: u32][(i: u32, SUM(x_i))…][n: u32][(i << 32 | j: u64,
+/// SUM(x_i·x_j))…]`: the entries that are not exactly zero, sums by
+/// variable and products (`i ≤ j`) by key, both strictly increasing. The
+/// support is not written; decoding takes the variables the entries
+/// name, which is equal under `Cofactor`'s semantic equality.
 impl Codec for Cofactor {
     fn encode(&self, out: &mut Vec<u8>) {
         self.count.encode(out);
-        put_count(out, self.sums.len());
-        for (i, v) in &self.sums {
-            i.encode(out);
-            v.encode(out);
-        }
-        put_count(out, self.prods.len());
-        for (k, v) in &self.prods {
-            k.encode(out);
-            v.encode(out);
-        }
+        put_nonzero(out, self.sums());
+        put_nonzero(
+            out,
+            self.prods()
+                .map(|(i, j, v)| ((u64::from(i) << 32) | u64::from(j), v)),
+        );
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let held = input.len();
         let count = i64::decode(input)?;
         let ns = take_count(input, "cofactor sums", 12)?;
-        let mut sums = Vec::with_capacity(ns);
+        let mut sums: Vec<(u32, f64)> = Vec::with_capacity(ns);
         for _ in 0..ns {
-            sums.push((u32::decode(input)?, f64::decode(input)?));
+            let (i, v) = (u32::decode(input)?, f64::decode(input)?);
+            if sums.last().is_some_and(|&(prev, _)| prev >= i) {
+                return Err(CodecError::Invalid {
+                    what: "cofactor (sum ids not strictly increasing)",
+                });
+            }
+            sums.push((i, v));
         }
         let np = take_count(input, "cofactor prods", 16)?;
-        let mut prods = Vec::with_capacity(np);
+        let mut prods: Vec<(u32, u32, f64)> = Vec::with_capacity(np);
         for _ in 0..np {
-            prods.push((u64::decode(input)?, f64::decode(input)?));
+            let (key, v) = (u64::decode(input)?, f64::decode(input)?);
+            let (i, j) = ((key >> 32) as u32, key as u32);
+            if i > j {
+                return Err(CodecError::Invalid {
+                    what: "cofactor (product key with i > j)",
+                });
+            }
+            if prods.last().is_some_and(|&(pi, pj, _)| (pi, pj) >= (i, j)) {
+                return Err(CodecError::Invalid {
+                    what: "cofactor (product keys not strictly increasing)",
+                });
+            }
+            prods.push((i, j, v));
         }
-        Ok(Cofactor { count, sums, prods })
-    }
-}
-
-impl Codec for DenseCofactor {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.m.encode(out);
-        self.count.encode(out);
-        put_count(out, self.sums.len());
-        for v in self.sums.iter() {
-            v.encode(out);
+        let mut vars: Vec<u32> = sums
+            .iter()
+            .map(|e| e.0)
+            .chain(prods.iter().flat_map(|e| [e.0, e.1]))
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        if vars.len() > COFACTOR_FREE_SUPPORT
+            && block_len(vars.len()) * std::mem::size_of::<f64>() > held
+        {
+            return Err(CodecError::Invalid {
+                what: "cofactor (support too large for its input)",
+            });
         }
-        put_count(out, self.prods.len());
-        for v in self.prods.iter() {
-            v.encode(out);
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let m = u32::decode(input)?;
-        let count = i64::decode(input)?;
-        let ns = take_count(input, "dense-cofactor sums", 8)?;
-        let mut sums = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            sums.push(f64::decode(input)?);
-        }
-        let np = take_count(input, "dense-cofactor prods", 8)?;
-        let mut prods = Vec::with_capacity(np);
-        for _ in 0..np {
-            prods.push(f64::decode(input)?);
-        }
-        Ok(DenseCofactor {
-            m,
-            count,
-            sums: sums.into_boxed_slice(),
-            prods: prods.into_boxed_slice(),
-        })
+        Ok(Cofactor::from_entries(count, vars.into(), &sums, &prods))
     }
 }
 
@@ -491,6 +513,7 @@ impl Codec for DegreeRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::Ring;
     use crate::tuple;
 
     fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(x: &T) {
@@ -611,5 +634,90 @@ mod tests {
             Delta::<i64>::decode(&mut buf.as_slice()),
             Err(CodecError::Invalid { .. })
         ));
+    }
+
+    /// Example 6.3's product `(2, s_2..4, Q over {2,3,4})`.
+    fn example_6_3() -> Cofactor {
+        let vt = Cofactor::lift(3, 1.0).add(&Cofactor::lift(3, 2.0));
+        vt.mul(&Cofactor::lift(4, 5.0))
+            .mul(&Cofactor::lift(2, 10.0))
+    }
+
+    /// The bytes the sparse pair-list encoder wrote for Example 6.3's
+    /// product: logs and checkpoints written before the block-dense
+    /// layout must stay readable, and new ones must be the same bytes.
+    const EXAMPLE_6_3_HEX: &str = "0200000000000000\
+        03000000\
+        02000000 0000000000003440 03000000 0000000000000840 04000000 0000000000002440\
+        06000000\
+        0200000002000000 0000000000006940 0300000002000000 0000000000003e40\
+        0400000002000000 0000000000005940 0300000003000000 0000000000001440\
+        0400000003000000 0000000000002e40 0400000004000000 0000000000004940";
+
+    #[test]
+    fn cofactor_golden_bytes() {
+        let golden: Vec<u8> = EXAMPLE_6_3_HEX
+            .split_whitespace()
+            .collect::<String>()
+            .as_bytes()
+            .chunks(2)
+            .map(|h| u8::from_str_radix(std::str::from_utf8(h).unwrap(), 16).unwrap())
+            .collect();
+        let mut buf = Vec::new();
+        example_6_3().encode(&mut buf);
+        assert_eq!(buf, golden);
+        let mut cursor = golden.as_slice();
+        assert_eq!(Cofactor::decode(&mut cursor).unwrap(), example_6_3());
+        assert!(cursor.is_empty());
+        // Zero values are not written, and decode to the same payload.
+        let padded = example_6_3()
+            .add(&Cofactor::lift(0, 1.0))
+            .sub(&Cofactor::lift(0, 1.0));
+        let mut buf = Vec::new();
+        padded.encode(&mut buf);
+        assert_eq!(buf, golden);
+    }
+
+    #[test]
+    fn cofactor_rejects_noncanonical_entries() {
+        let invalid = |bytes: &[u8]| {
+            matches!(
+                Cofactor::decode(&mut &bytes[..]),
+                Err(CodecError::Invalid { .. })
+            )
+        };
+        let encode = |sums: &[(u32, f64)], prods: &[(u64, f64)]| {
+            let mut buf = Vec::new();
+            1i64.encode(&mut buf);
+            put_count(&mut buf, sums.len());
+            for (i, v) in sums {
+                i.encode(&mut buf);
+                v.encode(&mut buf);
+            }
+            put_count(&mut buf, prods.len());
+            for (k, v) in prods {
+                k.encode(&mut buf);
+                v.encode(&mut buf);
+            }
+            buf
+        };
+        let key = |i: u64, j: u64| (i << 32) | j;
+        assert!(!invalid(&encode(
+            &[(1, 1.0), (2, 1.0)],
+            &[(key(1, 2), 1.0)]
+        )));
+        assert!(invalid(&encode(&[(2, 1.0), (1, 1.0)], &[])));
+        assert!(invalid(&encode(&[(1, 1.0), (1, 1.0)], &[])));
+        assert!(invalid(&encode(&[], &[(key(2, 1), 1.0)])));
+        assert!(invalid(&encode(&[], &[(key(1, 2), 1.0), (key(1, 1), 1.0)])));
+        assert!(invalid(&encode(&[], &[(key(1, 2), 1.0), (key(1, 2), 1.0)])));
+        // 150 products over 300 distinct variables: a 45 450-slot block
+        // from 2.4 KB of input.
+        let wide: Vec<(u64, f64)> = (0..150).map(|i| (key(2 * i, 2 * i + 1), 1.0)).collect();
+        assert!(invalid(&encode(&[], &wide)));
+        // The same support is accepted when the input could hold it.
+        let mut padded = encode(&[], &wide);
+        padded.resize(block_len(300) * 8, 0);
+        assert!(!invalid(&padded));
     }
 }

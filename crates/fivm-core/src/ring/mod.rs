@@ -6,7 +6,8 @@
 //!
 //! * [`i64`] / [`f64`] — SQL `COUNT`/`SUM` aggregates,
 //! * [`cofactor`] — the degree-*m* matrix ring `(c, s, Q)` for linear
-//!   regression gradients (Definition 6.2),
+//!   regression gradients (Definition 6.2), one dense block per payload
+//!   over the variables it covers,
 //! * [`relational`] — the relational data ring `F[Z]` storing query
 //!   results in payloads (Definition 6.4),
 //! * [`degree`] — the degree-indexed aggregate map used by the SQL-OPT

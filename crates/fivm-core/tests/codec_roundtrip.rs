@@ -9,10 +9,10 @@
 //! `-0.0 == 0.0`, the properties below compare *bit patterns* for
 //! doubles and type-level equality for everything else.
 
-use fivm_core::ring::cofactor::{Cofactor, DenseCofactor};
+use fivm_core::ring::cofactor::Cofactor;
 use fivm_core::ring::degree::DegreeRing;
 use fivm_core::ring::relational::RelPayload;
-use fivm_core::{Codec, Delta, FxHashMap, Relation, Schema, Tuple, Value};
+use fivm_core::{Codec, Delta, FxHashMap, Relation, Ring, Schema, Semiring, Tuple, Value};
 use proptest::prelude::*;
 
 fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(x: &T) -> Result<(), TestCaseError> {
@@ -59,6 +59,31 @@ fn relation_i64(rows: usize) -> impl Strategy<Value = Relation<i64>> {
                 pairs.into_iter().map(|(vals, m)| (Tuple::new(vals), m)),
             )
         })
+    })
+}
+
+/// A cofactor built the way the engine builds one: a signed sum of
+/// products of lifts. Variable ids span the whole `u32` range (both
+/// halves of a packed product key), and some values are exactly zero,
+/// which the encoder leaves out.
+fn cofactor() -> impl Strategy<Value = Cofactor> {
+    let factor = (
+        0u32..=u32::MAX,
+        prop_oneof![1 => Just(0.0), 4 => -1e6f64..1e6],
+    );
+    let term = (
+        proptest::collection::vec(factor, 0..4),
+        prop_oneof![Just(false), Just(true)],
+    );
+    proptest::collection::vec(term, 0..4).prop_map(|terms| {
+        terms
+            .into_iter()
+            .fold(Cofactor::zero(), |acc, (factors, negate)| {
+                let t = factors
+                    .into_iter()
+                    .fold(Cofactor::one(), |t, (j, x)| t.mul(&Cofactor::lift(j, x)));
+                acc.add(&if negate { t.neg() } else { t })
+            })
     })
 }
 
@@ -120,26 +145,12 @@ proptest! {
     }
 
     /// Every ring payload the bench suites maintain round-trips:
-    /// numeric (i64 / f64), sparse and dense cofactors, relational
-    /// payloads, degree-ring tables.
+    /// numeric (i64 / f64), cofactors, relational payloads, degree-ring
+    /// tables.
     #[test]
     fn ring_payloads_round_trip(
         count in i64::MIN..=i64::MAX,
-        sparse in proptest::collection::vec(
-            (
-                0u32..=u32::MAX,
-                (0u64..=u64::MAX)
-                    .prop_map(f64::from_bits)
-                    .prop_filter("finite", |f| f.is_finite()),
-            ),
-            0..6,
-        ),
-        dense in proptest::collection::vec(
-            (0u64..=u64::MAX)
-                .prop_map(f64::from_bits)
-                .prop_filter("not nan", |f| !f.is_nan()),
-            0..6,
-        ),
+        cof in cofactor(),
         degs in proptest::collection::vec(
             ((0u32..=u32::MAX, 0u32..=u32::MAX), -1e9f64..1e9),
             0..6,
@@ -148,21 +159,7 @@ proptest! {
     ) {
         round_trip(&count)?;
         round_trip(&(count as f64 * 0.5))?;
-
-        let cof = Cofactor {
-            count,
-            sums: sparse.clone(),
-            prods: sparse.iter().map(|&(i, v)| (u64::from(i) << 8, v)).collect(),
-        };
         round_trip(&cof)?;
-
-        let dc = DenseCofactor {
-            m: dense.len() as u32,
-            count,
-            sums: dense.clone().into_boxed_slice(),
-            prods: dense.clone().into_boxed_slice(),
-        };
-        round_trip(&dc)?;
 
         let mut aggs = FxHashMap::default();
         for (k, v) in degs {
@@ -187,6 +184,7 @@ proptest! {
     fn corrupt_bytes_never_panic(
         garbage in proptest::collection::vec(0u8..=255, 0..120),
         r in relation_i64(3),
+        cof in cofactor(),
         cut in 0usize..=usize::MAX,
         flip in 0usize..=usize::MAX,
     ) {
@@ -198,21 +196,24 @@ proptest! {
             let _ = Delta::<i64>::decode(&mut &bytes[..]);
             let _ = Delta::<f64>::decode(&mut &bytes[..]);
             let _ = Cofactor::decode(&mut &bytes[..]);
-            let _ = DenseCofactor::decode(&mut &bytes[..]);
             let _ = RelPayload::decode(&mut &bytes[..]);
             let _ = DegreeRing::decode(&mut &bytes[..]);
         }
         try_all(&garbage);
 
-        let mut valid = Vec::new();
-        Delta::Flat(r).encode(&mut valid);
-        // Truncation at an arbitrary boundary.
-        try_all(&valid[..cut % (valid.len() + 1)]);
-        // Single corrupted byte.
-        if !valid.is_empty() {
-            let i = flip % valid.len();
-            valid[i] = valid[i].wrapping_add(1 + (i as u8 % 254));
-            try_all(&valid);
+        let mut delta = Vec::new();
+        Delta::Flat(r).encode(&mut delta);
+        let mut cofactor = Vec::new();
+        cof.encode(&mut cofactor);
+        for mut valid in [delta, cofactor] {
+            // Truncation at an arbitrary boundary.
+            try_all(&valid[..cut % (valid.len() + 1)]);
+            // Single corrupted byte.
+            if !valid.is_empty() {
+                let i = flip % valid.len();
+                valid[i] = valid[i].wrapping_add(1 + (i as u8 % 254));
+                try_all(&valid);
+            }
         }
     }
 }

@@ -61,7 +61,7 @@ pub use fivm_query as query;
 /// Common imports for examples and tests.
 pub mod prelude {
     pub use fivm_core::ring::boolean::{Bool, MaxProduct};
-    pub use fivm_core::ring::cofactor::{Cofactor, DenseCofactor};
+    pub use fivm_core::ring::cofactor::Cofactor;
     pub use fivm_core::ring::degree::DegreeRing;
     pub use fivm_core::ring::relational::RelPayload;
     pub use fivm_core::{

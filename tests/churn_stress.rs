@@ -361,3 +361,46 @@ fn memory_returns_after_teardown() {
     assert_eq!(engine.total_entries(), 0);
     assert_eq!(engine.approx_bytes(), baseline);
 }
+
+/// The cofactor ring over a check-size Retailer instance: insert every
+/// tuple, then delete them all in another order. The features are
+/// integers, so every float operation is exact and each payload cancels
+/// to exactly zero — the `is_zero`-driven erasure must leave no entry,
+/// no byte and no result behind.
+#[test]
+fn cofactor_teardown_returns_to_empty() {
+    let r = fivm::data::retailer::generate(&fivm::data::RetailerConfig {
+        inventory_rows: 1_500,
+        locations: 8,
+        dates: 12,
+        items: 40,
+        zips: 5,
+        seed: 11,
+    });
+    let q = &r.query;
+    let all: Vec<usize> = (0..q.relations.len()).collect();
+    let mut engine: IvmEngine<Cofactor> = IvmEngine::new(
+        q.clone(),
+        ViewTree::build(q, &r.order),
+        &all,
+        CofactorSpec::over_all_vars(q).liftings(),
+    );
+    let delta = |rel: usize, tuples: &[Tuple], p: &Cofactor| {
+        let pairs = tuples.iter().map(|t| (t.clone(), p.clone()));
+        Delta::Flat(Relation::from_pairs(q.relations[rel].schema.clone(), pairs))
+    };
+    for b in r.stream(100) {
+        engine.apply(b.relation, &delta(b.relation, &b.tuples, &Cofactor::one()));
+    }
+    assert!(!engine.result().is_empty());
+    // Relations last-first, each one's tuples last-first, other batches.
+    for rel in all.into_iter().rev() {
+        let reversed: Vec<Tuple> = r.tuples[rel].iter().rev().cloned().collect();
+        for chunk in reversed.chunks(37) {
+            engine.apply(rel, &delta(rel, chunk, &Cofactor::one().neg()));
+        }
+    }
+    assert!(engine.result().is_empty());
+    assert_eq!(engine.total_entries(), 0, "all views empty after teardown");
+    assert_eq!(engine.approx_bytes(), 0);
+}
