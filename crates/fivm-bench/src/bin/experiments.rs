@@ -1,6 +1,7 @@
 //! Regenerates every table and figure of the paper’s evaluation (§7 +
-//! Appendix C) and prints paper-style rows. EXPERIMENTS.md records a
-//! captured run next to the paper’s numbers.
+//! Appendix C) and prints paper-style rows. Reproducible numbers, with
+//! their host and run-to-run spread, come from the `benchmark/` program
+//! (see `benchmark/README.md`).
 //!
 //! Usage:
 //!
@@ -12,8 +13,9 @@
 //!
 //! Scales: `small` (default, ≈1 min total), `medium` (≈10 min). The
 //! paper’s absolute scale (84 M-row Retailer, n = 16384 matrices, 1 h
-//! timeouts) is not reproducible on a laptop; DESIGN.md §3 explains why
-//! the *shapes* survive down-scaling.
+//! timeouts) is not reproducible on a laptop; only the *shapes* — which
+//! strategy wins, and how the gaps grow with scale — are meant to carry
+//! over.
 
 use fivm_bench::*;
 use fivm_core::ring::cofactor::Cofactor;

@@ -1,8 +1,8 @@
 //! # fivm-bench — the F-IVM experiment harness
 //!
 //! Reproduces every table and figure of the paper’s evaluation (§7 and
-//! Appendix C); the per-experiment index lives in DESIGN.md §4 and the
-//! measured-vs-paper numbers in EXPERIMENTS.md.
+//! Appendix C); `src/bin/experiments.rs` lists the experiments, and
+//! `benchmark/README.md` has the reproducible end-to-end numbers.
 //!
 //! [`Maintainer`] abstracts over the competing strategies so one driver
 //! ([`run_stream`]) measures them all: F-IVM ([`FIvmMaintainer`]),

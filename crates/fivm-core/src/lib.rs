@@ -49,7 +49,7 @@ pub use lifting::{Lifting, LiftingMap};
 pub use relation::Relation;
 pub use ring::{Ring, Semiring};
 pub use schema::{Catalog, Schema, SymbolTable, VarId};
-pub use table::TupleMap;
+pub use table::{ByIds, TupleMap};
 pub use tuple::Tuple;
 pub use update::Delta;
 pub use value::Value;

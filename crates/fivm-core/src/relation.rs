@@ -100,10 +100,10 @@ impl<R: Semiring> Relation<R> {
         if payload.is_zero() {
             return;
         }
-        let (inserted, slot) = self.data.upsert(key, R::zero);
+        let (inserted, id, slot) = self.data.upsert_id(key, R::zero);
         slot.add_assign(&payload);
         if !inserted && slot.is_zero() {
-            self.data.remove(key);
+            self.data.remove_id(id);
         }
     }
 

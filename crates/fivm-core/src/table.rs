@@ -1,5 +1,5 @@
 //! An open-addressing hash table keyed by [`Tuple`]s that supports
-//! borrowed-key probing.
+//! borrowed-key probing and gives every live key a stable entry id.
 //!
 //! `std::collections::HashMap` cannot look a key up by anything but
 //! `Borrow<Q>` of the owned key type, which forces callers to
@@ -9,55 +9,92 @@
 //! key only when an insert introduces a genuinely new key — which, for
 //! inline tuples (arity ≤ 3), still allocates nothing.
 //!
-//! Layout: power-of-two slot array, linear probing, tombstone deletion
-//! (rehahsed away on growth). Tuples cache their Fx hash, so growth and
-//! re-probing never re-hash key values. `clear` keeps the slot array,
-//! and removals leave capacity in place, so a steady-state workload
+//! Layout: an index map. Keys and payloads live in an **entry arena**
+//! (a `Vec` of cells that grows by half when full), and a power-of-two
+//! **metadata array** indexes it by linear probing. Each occupied
+//! metadata word packs the top 32 bits of the key's hash (a filter
+//! marker) with the key's `u32` entry id. A probe reads one metadata
+//! word per step and one entry on a marker match. Slots cost 8 bytes
+//! instead of a whole key and payload, so the metadata of a 100k-key
+//! view stays L2-resident while probe chains walk it. The price: the
+//! entry read waits for the word that names it, where a table of fat
+//! slots could start both reads at once.
+//!
+//! Entry ids are stable: a key keeps its id from insertion until its
+//! removal, whatever growth or rehashing happens in between (rehashing
+//! rewrites only metadata words). Callers may therefore hold ids as
+//! compact references to entries — secondary indexes store lists of
+//! them and read payloads back through [`TupleMap::by_ids`] without a
+//! second hash probe. Removed cells thread a free list through the
+//! arena and are reused (last freed, first reused) before the arena
+//! grows, so churn on a stable key count never reallocates.
+//!
+//! Deletion leaves a tombstone in the metadata (rehashed away on
+//! growth). Tuples cache their Fx hash, so growth and re-probing never
+//! re-hash key values. `clear` keeps both arrays' capacity, and
+//! removals leave capacity in place, so a steady-state workload
 //! (payload updates, or deletes matched by re-inserts) performs no heap
 //! allocation.
-//!
-//! Probing walks a parallel **metadata array** — one word per slot
-//! holding empty/tombstone sentinels or the slot key's hash marker —
-//! and touches the fat slot array (a key tuple plus payload per slot)
-//! only on a marker match. At batch scale the slot array of a 100k-key
-//! view runs to many megabytes while its metadata stays L2-resident,
-//! so probe chains cost compact-word reads instead of DRAM misses.
 
 use crate::key::TupleKey;
 use crate::tuple::Tuple;
 
+/// One arena cell: a live entry, or a free cell holding the next id of
+/// the free list.
 #[derive(Clone, Debug)]
-enum Slot<R> {
-    Empty,
-    Tombstone,
+enum Entry<R> {
     Full(Tuple, R),
+    Free(u32),
 }
+
+/// End of the free list; also never handed out as an entry id.
+const NO_ID: u32 = u32::MAX;
 
 /// Metadata word: the slot is empty (probe chains stop here).
 const META_EMPTY: u64 = 0;
 /// Metadata word: deleted entry (probe chains continue through it).
 const META_TOMBSTONE: u64 = 1;
+/// The marker half of an occupied metadata word; the low half is the
+/// entry id.
+const MARKER_MASK: u64 = !0xFFFF_FFFF;
 
-/// Metadata word for an occupied slot: the key's hash with the top bit
-/// forced, so it can never collide with the two sentinels. Equality of
-/// markers is a filter only — the slot's exact cached hash and key
-/// comparison still decide.
+/// Marker half of an occupied metadata word: the key hash's top 32 bits
+/// with the top bit forced, so no occupied word equals a sentinel.
+/// Equality of markers is a filter only — the key comparison (which
+/// checks the full cached hash first) still decides.
 #[inline]
 fn marker(hash: u64) -> u64 {
-    hash | (1 << 63)
+    (hash | (1 << 63)) & MARKER_MASK
+}
+
+/// The live entry `id` of `entries`.
+#[inline]
+fn full<R>(entries: &[Entry<R>], id: u32) -> (&Tuple, &R) {
+    match &entries[id as usize] {
+        Entry::Full(t, r) => (t, r),
+        Entry::Free(_) => panic!("entry id {id} is not live"),
+    }
 }
 
 /// Hash map from [`Tuple`] keys to `R` payloads with borrowed-key
-/// probing; see the [module docs](self).
+/// probing and stable entry ids; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct TupleMap<R> {
-    /// Probe metadata, parallel to `slots` (see the module docs).
+    /// Probe metadata: sentinels, or marker | entry id.
     meta: Vec<u64>,
-    slots: Vec<Slot<R>>,
+    /// Entry arena, indexed by entry id.
+    entries: Vec<Entry<R>>,
+    /// Head of the free-cell list threaded through `entries`.
+    free: u32,
     /// Live entries.
     items: usize,
     /// Live entries plus tombstones (bounds probe-sequence length).
     used: usize,
+    /// [`class_mult`] of the metadata capacity, and `64 - log2(capacity)`:
+    /// the home-slot function's constants, kept so a probe's first load
+    /// does not wait on computing them.
+    mult: u64,
+    shift: u32,
 }
 
 /// Per-capacity-class odd multiplier for the multiply-shift home-slot
@@ -65,17 +102,16 @@ pub struct TupleMap<R> {
 ///
 /// Delta propagation constantly streams one `TupleMap` into another
 /// (`Relation::iter` → store merge, hash-scratch drain → view
-/// inserts). Iterating a table yields keys sorted by their home slots,
-/// and feeding a *key order correlated with home order* into a
+/// inserts). A *key order correlated with home order* fed into a
 /// linear-probed destination of a different capacity degrades into
 /// long probe runs (measured ~7× slower at 100k keys with a shared
 /// spread function — and fully quadratic in the worst case, when a
 /// sorted key range concentrates into a narrow home region of a
-/// growing destination). Deriving the mixing multiplier from the
-/// capacity class makes the slot orders of different-sized tables
-/// statistically independent, so streamed inserts see ordinary
-/// random-order probe costs; same-sized tables share an order, which
-/// is the benign left-to-right fill.
+/// growing destination). Arena iteration order is insertion order, so
+/// it rarely correlates with home order; deriving the mixing multiplier
+/// from the capacity class keeps the slot orders of different-sized
+/// tables statistically independent even when it does (a table filled
+/// from a hash-sorted run, say).
 #[inline]
 fn class_mult(log2cap: u32) -> u64 {
     // splitmix64-style finalizer over the class index, forced odd so
@@ -96,9 +132,12 @@ impl<R> TupleMap<R> {
     pub fn new() -> Self {
         TupleMap {
             meta: Vec::new(),
-            slots: Vec::new(),
+            entries: Vec::new(),
+            free: NO_ID,
             items: 0,
             used: 0,
+            mult: 0,
+            shift: 0,
         }
     }
 
@@ -114,19 +153,19 @@ impl<R> TupleMap<R> {
         self.items == 0
     }
 
-    /// Drop all entries, keeping the slot array for reuse.
+    /// Drop all entries, keeping the metadata and arena capacity for
+    /// reuse. Entry ids restart from zero.
     pub fn clear(&mut self) {
         self.meta.fill(META_EMPTY);
-        for s in &mut self.slots {
-            *s = Slot::Empty;
-        }
+        self.entries.clear();
+        self.free = NO_ID;
         self.items = 0;
         self.used = 0;
     }
 
     #[inline]
     fn mask(&self) -> usize {
-        self.slots.len() - 1
+        self.meta.len() - 1
     }
 
     /// Home slot of `hash`: multiply-shift with the capacity class's
@@ -134,17 +173,24 @@ impl<R> TupleMap<R> {
     /// `log2(capacity)` bits — the best-mixed ones.
     #[inline]
     fn home(&self, hash: u64) -> usize {
-        let log2cap = self.slots.len().trailing_zeros();
-        (hash.wrapping_mul(class_mult(log2cap)) >> (64 - log2cap)) as usize
+        (hash.wrapping_mul(self.mult) >> self.shift) as usize
     }
 
-    /// Index of the slot holding `key`, if present.
+    /// Replace the metadata with `cap` empty slots (a power of two).
+    fn alloc_meta(&mut self, cap: usize) {
+        self.meta = vec![META_EMPTY; cap];
+        let log2cap = cap.trailing_zeros();
+        self.mult = class_mult(log2cap);
+        self.shift = 64 - log2cap;
+    }
+
+    /// Metadata slot, entry id and payload of `key`, if present.
     // `always`: `TriangleHlEngine::apply_update` probes through here at
     // ten call sites, and thin LTO's heuristics do not reliably inline it
     // there; outlined, `triangle_hl_churn` ran ~10 % slower (2-vCPU Xeon).
     #[inline(always)]
-    fn find<K: TupleKey + ?Sized>(&self, key: &K) -> Option<usize> {
-        if self.slots.is_empty() {
+    fn find<K: TupleKey + ?Sized>(&self, key: &K) -> Option<(usize, u32, &R)> {
+        if self.meta.is_empty() {
             return None;
         }
         let hash = key.key_hash();
@@ -156,33 +202,48 @@ impl<R> TupleMap<R> {
             if m == META_EMPTY {
                 return None;
             }
-            if m == mark {
-                if let Slot::Full(t, _) = &self.slots[i] {
-                    if t.cached_hash() == hash && key.matches(t) {
-                        return Some(i);
-                    }
+            if m & MARKER_MASK == mark {
+                let id = m as u32;
+                let (t, r) = full(&self.entries, id);
+                if key.matches(t) {
+                    return Some((i, id, r));
                 }
             }
             i = (i + 1) & mask;
         }
     }
 
+    /// Metadata slot of the live entry `id`, whose key hashes to `hash`.
+    fn slot_of(&self, hash: u64, id: u32) -> usize {
+        let want = marker(hash) | u64::from(id);
+        let mask = self.mask();
+        let mut i = self.home(hash);
+        while self.meta[i] != want {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Mutable payload of the live entry `id`.
+    #[inline]
+    fn payload_mut(&mut self, id: u32) -> &mut R {
+        match &mut self.entries[id as usize] {
+            Entry::Full(_, r) => r,
+            Entry::Free(_) => panic!("entry id {id} is not live"),
+        }
+    }
+
     /// Payload of `key`, if present. Accepts borrowed probe keys.
     #[inline]
     pub fn get<K: TupleKey + ?Sized>(&self, key: &K) -> Option<&R> {
-        self.find(key).map(|i| match &self.slots[i] {
-            Slot::Full(_, r) => r,
-            _ => unreachable!("find returns full slots"),
-        })
+        self.find(key).map(|(_, _, r)| r)
     }
 
     /// Mutable payload of `key`, if present.
     #[inline]
     pub fn get_mut<K: TupleKey + ?Sized>(&mut self, key: &K) -> Option<&mut R> {
-        self.find(key).map(|i| match &mut self.slots[i] {
-            Slot::Full(_, r) => r,
-            _ => unreachable!("find returns full slots"),
-        })
+        let (_, id, _) = self.find(key)?;
+        Some(self.payload_mut(id))
     }
 
     /// True iff `key` has an entry.
@@ -191,14 +252,40 @@ impl<R> TupleMap<R> {
         self.find(key).is_some()
     }
 
+    /// Entry id of `key`, if present; stable until the key is removed.
+    #[inline]
+    pub fn id_of<K: TupleKey + ?Sized>(&self, key: &K) -> Option<u32> {
+        self.find(key).map(|(_, id, _)| id)
+    }
+
+    /// The live entries named by `ids`, in list order.
+    #[inline]
+    pub fn by_ids<'a>(&'a self, ids: &'a [u32]) -> ByIds<'a, R> {
+        ByIds {
+            ids: ids.iter(),
+            entries: &self.entries,
+        }
+    }
+
     /// Look up `key`, inserting `default()` under the materialized key
     /// if absent. Returns whether the entry was just inserted, and the
     /// payload.
+    #[inline]
     pub fn upsert<K: TupleKey + ?Sized>(
         &mut self,
         key: &K,
         default: impl FnOnce() -> R,
     ) -> (bool, &mut R) {
+        let (inserted, _, r) = self.upsert_id(key, default);
+        (inserted, r)
+    }
+
+    /// [`TupleMap::upsert`] that also returns the entry's id.
+    pub fn upsert_id<K: TupleKey + ?Sized>(
+        &mut self,
+        key: &K,
+        default: impl FnOnce() -> R,
+    ) -> (bool, u32, &mut R) {
         self.reserve_one();
         let hash = key.key_hash();
         let mark = marker(hash);
@@ -216,14 +303,10 @@ impl<R> TupleMap<R> {
                 if reuse.is_none() {
                     reuse = Some(i);
                 }
-            } else if m == mark {
-                if let Slot::Full(t, _) = &self.slots[i] {
-                    if t.cached_hash() == hash && key.matches(t) {
-                        match &mut self.slots[i] {
-                            Slot::Full(_, r) => return (false, r),
-                            _ => unreachable!("meta marker implies a full slot"),
-                        }
-                    }
+            } else if m & MARKER_MASK == mark {
+                let id = m as u32;
+                if key.matches(full(&self.entries, id).0) {
+                    return (false, id, self.payload_mut(id));
                 }
             }
             i = (i + 1) & mask;
@@ -232,72 +315,104 @@ impl<R> TupleMap<R> {
             self.used += 1;
         }
         self.items += 1;
-        self.meta[slot] = mark;
-        self.slots[slot] = Slot::Full(key.materialize(), default());
-        match &mut self.slots[slot] {
-            Slot::Full(_, r) => (true, r),
-            _ => unreachable!(),
-        }
+        let id = self.alloc(key.materialize(), default());
+        self.meta[slot] = mark | u64::from(id);
+        (true, id, self.payload_mut(id))
     }
 
-    /// Remove `key`'s entry, returning its payload. Leaves a tombstone;
-    /// capacity is retained.
-    pub fn remove<K: TupleKey + ?Sized>(&mut self, key: &K) -> Option<(Tuple, R)> {
-        let i = self.find(key)?;
-        let old = std::mem::replace(&mut self.slots[i], Slot::Tombstone);
-        self.meta[i] = META_TOMBSTONE;
+    /// Place a new entry in a free cell (most recently freed first) or
+    /// at the end of the arena; returns its id.
+    fn alloc(&mut self, t: Tuple, r: R) -> u32 {
+        if self.free == NO_ID {
+            let id = u32::try_from(self.entries.len())
+                .ok()
+                .filter(|&id| id != NO_ID)
+                .expect("TupleMap entry ids are exhausted");
+            if self.entries.len() == self.entries.capacity() {
+                // Grow by half rather than `Vec`'s doubling: arena slack
+                // is resident state, and 1.5× steps cap it at a third.
+                self.entries.reserve_exact((self.entries.len() / 2).max(4));
+            }
+            self.entries.push(Entry::Full(t, r));
+            return id;
+        }
+        let id = self.free;
+        let cell = &mut self.entries[id as usize];
+        match cell {
+            Entry::Free(next) => self.free = *next,
+            Entry::Full(..) => unreachable!("the free list threads free cells"),
+        }
+        *cell = Entry::Full(t, r);
+        id
+    }
+
+    /// Tombstone metadata slot `slot` and free entry `id` (which it
+    /// names), returning the entry's key and payload.
+    fn release(&mut self, slot: usize, id: u32) -> (Tuple, R) {
+        self.meta[slot] = META_TOMBSTONE;
         self.items -= 1;
+        let old = std::mem::replace(&mut self.entries[id as usize], Entry::Free(self.free));
+        self.free = id;
         match old {
-            Slot::Full(t, r) => Some((t, r)),
-            _ => unreachable!("find returns full slots"),
+            Entry::Full(t, r) => (t, r),
+            Entry::Free(_) => unreachable!("released entries are live"),
         }
     }
 
-    /// Move every entry into `out` (table order), leaving the map
+    /// Remove `key`'s entry, returning its key and payload. Leaves a
+    /// tombstone and frees the entry id for reuse; capacity is
+    /// retained.
+    pub fn remove<K: TupleKey + ?Sized>(&mut self, key: &K) -> Option<(Tuple, R)> {
+        let (slot, id, _) = self.find(key)?;
+        Some(self.release(slot, id))
+    }
+
+    /// Remove the live entry `id`, returning its key and payload. The
+    /// metadata walk compares packed words only, never keys. Panics if
+    /// `id` does not name a live entry.
+    pub fn remove_id(&mut self, id: u32) -> (Tuple, R) {
+        let hash = full(&self.entries, id).0.cached_hash();
+        let slot = self.slot_of(hash, id);
+        self.release(slot, id)
+    }
+
+    /// Move every entry into `out` (arena order), leaving the map
     /// empty but with its capacity retained — the scratch-buffer
     /// pattern hot paths use to merge duplicates without allocating.
     pub fn drain_into(&mut self, out: &mut Vec<(Tuple, R)>) {
-        for s in &mut self.slots {
-            if matches!(s, Slot::Full(..)) {
-                match std::mem::replace(s, Slot::Empty) {
-                    Slot::Full(t, r) => out.push((t, r)),
-                    _ => unreachable!("just matched"),
-                }
-            } else {
-                *s = Slot::Empty;
+        for e in self.entries.drain(..) {
+            if let Entry::Full(t, r) = e {
+                out.push((t, r));
             }
         }
-        self.meta.fill(META_EMPTY);
-        self.items = 0;
-        self.used = 0;
+        self.clear();
     }
 
-    /// Iterate over `(key, payload)` pairs in table order.
+    /// Iterate over `(key, payload)` pairs in arena (id) order: a
+    /// sequential scan of the arena.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &R)> {
-        self.slots.iter().filter_map(|s| match s {
-            Slot::Full(t, r) => Some((t, r)),
-            _ => None,
+        self.entries.iter().filter_map(|e| match e {
+            Entry::Full(t, r) => Some((t, r)),
+            Entry::Free(_) => None,
         })
     }
 
-    /// Iterate with mutable payloads.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&Tuple, &mut R)> {
-        self.slots.iter_mut().filter_map(|s| match s {
-            Slot::Full(t, r) => Some((&*t, r)),
-            _ => None,
-        })
-    }
-
-    /// Iterate over keys.
-    pub fn keys(&self) -> impl Iterator<Item = &Tuple> {
-        self.iter().map(|(t, _)| t)
+    /// Iterate over `(id, key, payload)` triples in arena (id) order.
+    pub fn iter_ids(&self) -> impl Iterator<Item = (u32, &Tuple, &R)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(id, e)| match e {
+                Entry::Full(t, r) => Some((id as u32, t, r)),
+                Entry::Free(_) => None,
+            })
     }
 
     /// Keep entries for which `f` returns `true`; the rest become
-    /// tombstones (capacity retained). This is the high-water-mark
-    /// sweep primitive: callers retaining emptied buckets for
-    /// allocation-freedom use it to shed them once they outnumber the
-    /// live ones.
+    /// tombstones and free cells (capacity retained). This is the
+    /// high-water-mark sweep primitive: callers retaining emptied
+    /// buckets for allocation-freedom use it to shed them once they
+    /// outnumber the live ones.
     ///
     /// A sweep that drops many entries would otherwise leave probe
     /// chains walking through its tombstones until the next
@@ -307,17 +422,21 @@ impl<R> TupleMap<R> {
     /// table rehashes in place (same capacity, tombstones dropped),
     /// restoring load-factor-bounded probe chains immediately.
     pub fn retain(&mut self, mut f: impl FnMut(&Tuple, &mut R) -> bool) {
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if let Slot::Full(t, r) = s {
-                if !f(t, r) {
-                    *s = Slot::Tombstone;
-                    self.meta[i] = META_TOMBSTONE;
-                    self.items -= 1;
+        for id in 0..self.entries.len() as u32 {
+            let hash = match &mut self.entries[id as usize] {
+                Entry::Full(t, r) => {
+                    if f(t, r) {
+                        continue;
+                    }
+                    t.cached_hash()
                 }
-            }
+                Entry::Free(_) => continue,
+            };
+            let slot = self.slot_of(hash, id);
+            self.release(slot, id);
         }
         if self.tombstones() > self.items / 2 && self.tombstones() > 0 {
-            self.rehash(self.slots.len());
+            self.rehash(self.meta.len());
         }
     }
 
@@ -359,24 +478,27 @@ impl<R> TupleMap<R> {
         }
     }
 
-    /// Pre-size so `additional` inserts fit the load bound without
-    /// intermediate growth steps — batch merges size the scratch once
-    /// per batch instead of doubling through it.
+    /// Pre-size so `additional` inserts fit the load bound and the
+    /// arena without intermediate growth steps — batch merges size the
+    /// scratch once per batch instead of doubling through it.
     pub fn reserve(&mut self, additional: usize) {
+        let free_cells = self.entries.len() - self.items;
+        self.entries
+            .reserve_exact(additional.saturating_sub(free_cells));
         let needed = self.used + additional;
-        if self.slots.is_empty() {
+        if self.meta.is_empty() {
             let mut cap = 8usize;
             while needed * 8 > cap * 7 {
                 cap *= 2;
             }
-            self.init(cap);
+            self.alloc_meta(cap);
             return;
         }
-        if needed * 8 <= self.slots.len() * 7 {
+        if needed * 8 <= self.meta.len() * 7 {
             return;
         }
         // Rehashing drops tombstones, so size for live items only.
-        let mut cap = self.slots.len();
+        let mut cap = self.meta.len();
         while (self.items + additional) * 8 > cap * 7 {
             cap *= 2;
         }
@@ -386,55 +508,44 @@ impl<R> TupleMap<R> {
     /// Grow/rehash so at least one more insert fits the ≤ 7/8 load
     /// bound (counting tombstones).
     fn reserve_one(&mut self) {
-        if self.slots.is_empty() {
-            self.init(8);
+        if self.meta.is_empty() {
+            self.alloc_meta(8);
             return;
         }
-        if (self.used + 1) * 8 <= self.slots.len() * 7 {
+        if (self.used + 1) * 8 <= self.meta.len() * 7 {
             return;
         }
         // Double when genuinely full; rehash in place (same capacity)
         // when tombstones are the bulk of the load.
-        let new_cap = if (self.items + 1) * 4 > self.slots.len() * 3 {
-            self.slots.len() * 2
+        let new_cap = if (self.items + 1) * 4 > self.meta.len() * 3 {
+            self.meta.len() * 2
         } else {
-            self.slots.len()
+            self.meta.len()
         };
         self.rehash(new_cap);
     }
 
-    /// Allocate empty slot and metadata arrays of `cap` slots.
-    fn init(&mut self, cap: usize) {
-        self.meta = vec![META_EMPTY; cap];
-        self.slots = (0..cap).map(|_| Slot::Empty).collect();
-    }
-
-    /// Re-insert every live entry into a fresh slot array of `new_cap`
-    /// slots, dropping tombstones.
+    /// Rebuild the metadata at `new_cap` slots from the arena, dropping
+    /// tombstones. Entries do not move, so ids survive.
     fn rehash(&mut self, new_cap: usize) {
-        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| Slot::Empty).collect());
-        self.meta.clear();
-        self.meta.resize(new_cap, META_EMPTY);
+        if new_cap == self.meta.len() {
+            self.meta.fill(META_EMPTY);
+        } else {
+            self.alloc_meta(new_cap);
+        }
         self.used = self.items;
         let mask = self.mask();
-        for s in old {
-            if let Slot::Full(t, r) = s {
+        for (id, e) in self.entries.iter().enumerate() {
+            if let Entry::Full(t, _) = e {
                 // Cached hash: growth never re-hashes key values.
                 let hash = t.cached_hash();
                 let mut i = self.home(hash);
                 while self.meta[i] != META_EMPTY {
                     i = (i + 1) & mask;
                 }
-                self.meta[i] = marker(hash);
-                self.slots[i] = Slot::Full(t, r);
+                self.meta[i] = marker(hash) | id as u64;
             }
         }
-    }
-
-    /// Approximate heap bytes owned by the slot and metadata arrays
-    /// (excluding key and payload heap data).
-    pub fn approx_slot_bytes(&self) -> usize {
-        self.slots.len() * (std::mem::size_of::<Slot<R>>() + std::mem::size_of::<u64>())
     }
 }
 
@@ -452,6 +563,41 @@ impl<R> FromIterator<(Tuple, R)> for TupleMap<R> {
         m
     }
 }
+
+/// The entries of a [`TupleMap`] named by a list of entry ids, as
+/// `(key, payload)` pairs — what a secondary-index probe yields. See
+/// [`TupleMap::by_ids`].
+pub struct ByIds<'a, R> {
+    ids: std::slice::Iter<'a, u32>,
+    entries: &'a [Entry<R>],
+}
+
+impl<R> ByIds<'_, R> {
+    /// No entries (a probe that missed).
+    pub fn empty() -> Self {
+        ByIds {
+            ids: [].iter(),
+            entries: &[],
+        }
+    }
+}
+
+impl<'a, R> Iterator for ByIds<'a, R> {
+    type Item = (&'a Tuple, &'a R);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let &id = self.ids.next()?;
+        Some(full(self.entries, id))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl<R> ExactSizeIterator for ByIds<'_, R> {}
 
 #[cfg(test)]
 mod tests {
@@ -529,10 +675,62 @@ mod tests {
         }
         assert!(m.is_empty());
         assert!(
-            m.slots.len() <= 64,
+            m.meta.len() <= 64,
             "churn grew the table to {} slots",
-            m.slots.len()
+            m.meta.len()
         );
+    }
+
+    /// Removed cells go on the free list and are reused before the
+    /// arena grows: fixed-key churn never grows it, and every id handed
+    /// out stays below the peak live count.
+    #[test]
+    fn free_list_reuse_never_grows_the_arena() {
+        let mut m: TupleMap<i64> = TupleMap::new();
+        for i in 0..16i64 {
+            m.upsert(&tuple![i], || i);
+        }
+        let cap = m.entries.capacity();
+        for round in 0..50i64 {
+            // Interleave removals and re-inserts so the free list holds
+            // a varying number of cells.
+            for i in (0..16i64).filter(|i| (i + round) % 3 != 0) {
+                m.remove(&tuple![i]).unwrap();
+            }
+            for i in (0..16i64).filter(|i| (i + round) % 3 != 0) {
+                let (inserted, id, _) = m.upsert_id(&tuple![i], || round);
+                assert!(inserted);
+                assert!(id < 16, "round {round}: id {id} past the peak live count");
+            }
+            assert_eq!(m.entries.len(), 16, "round {round}: arena grew");
+        }
+        assert_eq!(m.entries.capacity(), cap);
+        assert_eq!(m.len(), 16);
+    }
+
+    /// A key keeps its id across growth, rehashing and other keys'
+    /// removal; `by_ids` reads entries back by id.
+    #[test]
+    fn ids_are_stable_until_removed() {
+        let mut m: TupleMap<i64> = TupleMap::new();
+        let (_, id7, _) = m.upsert_id(&tuple![7], || 70);
+        for i in 100..1100i64 {
+            m.upsert(&tuple![i], || i);
+        }
+        for i in (100..1100i64).step_by(2) {
+            m.remove(&tuple![i]);
+        }
+        m.retain(|t, _| t.get(0).as_int().unwrap() % 4 != 1);
+        assert_eq!(m.upsert_id(&tuple![7], || 0).1, id7);
+        assert_eq!(full(&m.entries, id7), (&tuple![7], &70));
+        let (_, id9, _) = m.upsert_id(&tuple![9], || 90);
+        let ids = [id9, id7, id9];
+        let got: Vec<(Tuple, i64)> = m.by_ids(&ids).map(|(t, &v)| (t.clone(), v)).collect();
+        assert_eq!(got, vec![(tuple![9], 90), (tuple![7], 70), (tuple![9], 90)]);
+        assert_eq!(m.by_ids(&ids).len(), 3);
+        assert_eq!(m.remove_id(id7), (tuple![7], 70));
+        assert_eq!(m.get(&tuple![7]), None);
+        assert_eq!(ByIds::<i64>::empty().len(), 0);
     }
 
     #[test]
@@ -547,10 +745,9 @@ mod tests {
         let mut got: Vec<i64> = m.iter().map(|(_, &v)| v).collect();
         got.sort_unstable();
         assert_eq!(got, (10..20).collect::<Vec<_>>());
-        for (_, v) in m.iter_mut() {
-            *v += 1;
+        for (id, t, v) in m.iter_ids() {
+            assert_eq!(full(&m.entries, id), (t, v));
         }
-        assert_eq!(m.get(&tuple![15]), Some(&16));
     }
 
     #[test]
@@ -571,6 +768,26 @@ mod tests {
         assert_eq!(m.get(&tuple![150]), Some(&150));
     }
 
+    /// `retain` frees the dropped entries' cells: the next inserts
+    /// reuse them instead of growing the arena, and survivors keep
+    /// their ids.
+    #[test]
+    fn retain_frees_arena_cells() {
+        let mut m: TupleMap<i64> = TupleMap::new();
+        let ids: Vec<u32> = (0..64i64)
+            .map(|i| m.upsert_id(&tuple![i], || i).1)
+            .collect();
+        m.retain(|_, v| *v % 4 == 0);
+        assert_eq!(m.len(), 16);
+        for i in (0..64i64).step_by(4) {
+            assert_eq!(m.upsert_id(&tuple![i], || -1).1, ids[i as usize]);
+        }
+        for i in 1000..1048i64 {
+            m.upsert(&tuple![i], || i);
+        }
+        assert_eq!(m.entries.len(), 64, "freed cells were reused");
+    }
+
     /// A retain that drops the bulk of the table compacts immediately:
     /// probe chains must not walk the dropped entries' tombstones until
     /// some later insert happens to trigger a rehash.
@@ -580,11 +797,11 @@ mod tests {
         for i in 0..4096i64 {
             m.upsert(&tuple![i], || i);
         }
-        let cap = m.slots.len();
+        let cap = m.meta.len();
         m.retain(|t, _| t.get(0).as_int().unwrap() < 64);
         assert_eq!(m.len(), 64);
         assert_eq!(m.tombstones(), 0, "heavy sweep must compact in place");
-        assert_eq!(m.slots.len(), cap, "compaction keeps capacity");
+        assert_eq!(m.meta.len(), cap, "compaction keeps capacity");
         // At 64 live keys in a large table, probe runs are short; with
         // 4032 retained tombstones they would approach O(capacity).
         assert!(
@@ -641,15 +858,17 @@ mod tests {
     fn reserve_presizes_without_growth_during_inserts() {
         let mut m: TupleMap<i64> = TupleMap::new();
         m.reserve(1000);
-        let cap = m.slots.len();
+        let cap = m.meta.len();
+        let arena = m.entries.capacity();
         for i in 0..1000i64 {
             m.upsert(&tuple![i], || i);
         }
-        assert_eq!(m.slots.len(), cap, "reserve sized for the batch");
+        assert_eq!(m.meta.len(), cap, "reserve sized for the batch");
+        assert_eq!(m.entries.capacity(), arena, "reserve sized the arena");
         assert_eq!(m.len(), 1000);
         // A no-op when capacity already suffices.
         m.reserve(10);
-        assert_eq!(m.slots.len(), cap);
+        assert_eq!(m.meta.len(), cap);
     }
 
     #[test]
@@ -658,10 +877,43 @@ mod tests {
         for i in 0..100i64 {
             m.upsert(&tuple![i], || i);
         }
-        let cap = m.slots.len();
+        m.remove(&tuple![3]);
+        let cap = m.meta.len();
+        let arena = m.entries.capacity();
         m.clear();
         assert!(m.is_empty());
-        assert_eq!(m.slots.len(), cap);
+        assert_eq!(m.meta.len(), cap);
         assert_eq!(m.get(&tuple![5]), None);
+        // The arena keeps its capacity, the free list is dropped and ids
+        // restart from zero.
+        assert_eq!(m.entries.capacity(), arena);
+        assert_eq!(m.upsert_id(&tuple![5], || 5).1, 0);
+        assert_eq!(m.upsert_id(&tuple![6], || 6).1, 1);
+    }
+
+    #[test]
+    fn drain_into_empties_the_arena() {
+        let mut m: TupleMap<i64> = TupleMap::new();
+        for i in 0..40i64 {
+            m.upsert(&tuple![i], || i);
+        }
+        for i in (0..40i64).step_by(5) {
+            m.remove(&tuple![i]);
+        }
+        let arena = m.entries.capacity();
+        let mut out = Vec::new();
+        m.drain_into(&mut out);
+        // Arena order is id order: survivors come out in insertion order.
+        let want: Vec<(Tuple, i64)> = (0..40i64)
+            .filter(|i| i % 5 != 0)
+            .map(|i| (tuple![i], i))
+            .collect();
+        assert_eq!(out, want);
+        assert!(m.is_empty());
+        assert_eq!(m.tombstones(), 0);
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(m.entries.capacity(), arena);
+        assert_eq!(m.upsert_id(&tuple![1], || 1).1, 0);
+        assert_eq!(m.get(&tuple![2]), None);
     }
 }

@@ -1,7 +1,7 @@
 //! # fivm-data — synthetic workloads for the F-IVM experiments
 //!
 //! Generators reproducing the *shape* of the paper’s datasets (§7,
-//! Appendix C.1); DESIGN.md §3 documents each substitution:
+//! Appendix C.1); each module's docs say what it stands in for:
 //!
 //! * [`retailer`] — the snowflake schema of the proprietary Retailer
 //!   dataset: `Inventory ⋈ Item ⋈ Weather ⋈ Location ⋈ Census`,

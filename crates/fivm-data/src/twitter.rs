@@ -5,7 +5,8 @@
 //! queries over the triangle join — the canonical cyclic query whose
 //! intermediate views grow quadratically without indicator projections
 //! (Appendix B, Figure 13). We substitute a seeded random directed
-//! graph of the same shape (DESIGN.md §3).
+//! graph of the same shape: edges split round-robin into the three
+//! relations over one node domain.
 
 use crate::stream::Batch;
 use fivm_core::{Tuple, Value};

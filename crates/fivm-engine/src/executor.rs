@@ -363,7 +363,11 @@ pub struct IvmEngine<R: Ring> {
     rel_indicators: Vec<Arc<[NodeId]>>,
     /// Compiled metadata per indicator node.
     ind_plans: FxHashMap<NodeId, IndicatorPlan<R>>,
-    /// Support counts per indicator node (Example B.2).
+    /// Support counts per indicator node (Example B.2). Indicators that
+    /// project onto every variable of their relation have none: the
+    /// projection is injective, so each key's support is 0 or 1 and the
+    /// leaf's own support transitions are the indicator's (see
+    /// [`support_transition`]).
     ind_counts: FxHashMap<NodeId, FxHashMap<Tuple, i64>>,
     payload_transform: Option<PayloadTransform<R>>,
     /// Applied to child payloads *before* they enter a parent's payload
@@ -416,9 +420,11 @@ impl<R: Ring> IvmEngine<R> {
         let mut ind_steps = FxHashMap::default();
         let mut ind_counts = FxHashMap::default();
         for (id, n) in tree.nodes.iter().enumerate() {
-            if matches!(n.kind, NodeKind::Indicator { .. }) {
+            if let NodeKind::Indicator { rel, proj } = &n.kind {
                 ind_steps.insert(id, Arc::new(delta_steps(&tree, &path_from(&tree, id))));
-                ind_counts.insert(id, FxHashMap::default());
+                if proj.len() < query.relations[*rel].schema.len() {
+                    ind_counts.insert(id, FxHashMap::default());
+                }
             }
         }
         // Every sibling along a registered maintenance path must be
@@ -896,13 +902,14 @@ impl<R: Ring> IvmEngine<R> {
                 NodeKind::Indicator { rel, proj } => {
                     rels[id] = Some(crate::eval::indicator_relation(&db.relations[*rel], proj));
                     // initialize support counts
-                    let positions = db.relations[*rel]
-                        .schema()
-                        .positions_of(proj.vars())
-                        .expect("indicator proj in relation schema");
-                    let counts = self.ind_counts.get_mut(&id).expect("registered");
-                    for (t, _) in db.relations[*rel].iter() {
-                        *counts.entry(t.project(&positions)).or_insert(0) += 1;
+                    if let Some(counts) = self.ind_counts.get_mut(&id) {
+                        let positions = db.relations[*rel]
+                            .schema()
+                            .positions_of(proj.vars())
+                            .expect("indicator proj in relation schema");
+                        for (t, _) in db.relations[*rel].iter() {
+                            *counts.entry(t.project(&positions)).or_insert(0) += 1;
+                        }
                     }
                 }
                 NodeKind::Inner { .. } => {}
@@ -987,6 +994,9 @@ impl<R: Ring> IvmEngine<R> {
         let mut rebuilt: Vec<(NodeId, FxHashMap<Tuple, i64>)> = Vec::new();
         for (id, n) in self.tree.nodes.iter().enumerate() {
             if let NodeKind::Indicator { rel, proj } = &n.kind {
+                if !self.ind_counts.contains_key(&id) {
+                    continue;
+                }
                 let leaf = self
                     .tree
                     .nodes
@@ -1312,8 +1322,7 @@ impl<R: Ring> IvmEngine<R> {
             } else {
                 for (t, p) in scratch.a.drain(..) {
                     let probe = ProjKey::new(&t, &sib.probe_pos);
-                    for full in store.probe(sib.index_id, &probe) {
-                        let sp = store.get(full).expect("indexed keys are live");
+                    for (full, sp) in store.probe(sib.index_id, &probe) {
                         let prod = p.mul(sp);
                         if !prod.is_zero() {
                             scratch
@@ -1423,8 +1432,7 @@ impl<R: Ring> IvmEngine<R> {
                     if owned {
                         for (t, p) in ws.a.drain(..) {
                             let probe = ProjKey::new(&t, &sib.probe_pos);
-                            for full in store.probe(sib.index_id, &probe) {
-                                let sp = store.get(full).expect("indexed keys are live");
+                            for (full, sp) in store.probe(sib.index_id, &probe) {
                                 let prod = p.mul(sp);
                                 if !prod.is_zero() {
                                     ws.b.push((t.concat_projected(full, &sib.rest_pos), prod));
@@ -1434,8 +1442,7 @@ impl<R: Ring> IvmEngine<R> {
                     } else {
                         for (t, p) in chunk {
                             let probe = ProjKey::new(t, &sib.probe_pos);
-                            for full in store.probe(sib.index_id, &probe) {
-                                let sp = store.get(full).expect("indexed keys are live");
+                            for (full, sp) in store.probe(sib.index_id, &probe) {
                                 let prod = p.mul(sp);
                                 if !prod.is_zero() {
                                     ws.b.push((t.concat_projected(full, &sib.rest_pos), prod));
@@ -1656,8 +1663,7 @@ impl<R: Ring> IvmEngine<R> {
                         } else {
                             for (t, p) in input_buf {
                                 let probe = ProjKey::new(t, &sib.probe_pos);
-                                for full in store.probe(sib.index_id, &probe) {
-                                    let sp = store.get(full).expect("indexed keys are live");
+                                for (full, sp) in store.probe(sib.index_id, &probe) {
                                     let prod = p.mul(sp);
                                     if !prod.is_zero() {
                                         buf.push((t.concat_projected(full, &sib.rest_pos), prod));
@@ -1686,8 +1692,7 @@ impl<R: Ring> IvmEngine<R> {
                         } else {
                             for (t, p) in input_buf {
                                 let probe = ProjKey::new(t, &sib.probe_pos);
-                                for full in store.probe(sib.index_id, &probe) {
-                                    let sp = store.get(full).expect("indexed keys are live");
+                                for (full, sp) in store.probe(sib.index_id, &probe) {
                                     let mut prod = p.mul(sp);
                                     if prod.is_zero() {
                                         continue;
@@ -1730,26 +1735,14 @@ impl<R: Ring> IvmEngine<R> {
     /// Compute an indicator delta from the leaf support transitions in
     /// `scratch.transitions` into `scratch.ind` (Example B.2).
     fn indicator_delta_into(&mut self, ind: NodeId, positions: &[usize], scratch: &mut Scratch<R>) {
-        let counts = self.ind_counts.get_mut(&ind).expect("registered");
+        let mut counts = self.ind_counts.get_mut(&ind);
         debug_assert!(scratch.acc.is_empty());
         for (t, sign) in &scratch.transitions {
             let key = ProjKey::new(t, positions);
-            let entry = counts.entry(key.materialize()).or_insert(0);
-            let before = *entry;
-            *entry += i64::from(*sign);
-            let now = *entry;
-            let payload = if before == 0 && now == 1 {
-                R::one()
-            } else if before == 1 && now == 0 {
-                R::one().neg()
-            } else {
-                R::zero()
-            };
-            if now == 0 {
-                counts.remove(&key.materialize());
-            }
-            if !payload.is_zero() {
-                scratch.acc.push(&key, payload);
+            match support_transition(counts.as_deref_mut(), &key, *sign) {
+                1 => scratch.acc.push(&key, R::one()),
+                -1 => scratch.acc.push(&key, R::one().neg()),
+                _ => {}
             }
         }
         scratch.ind.clear();
@@ -1937,8 +1930,7 @@ impl<R: Ring> IvmEngine<R> {
         let mut out = Relation::new(out_schema);
         for (t, p) in acc.iter() {
             let probe = ProjKey::new(t, &acc_probe);
-            for full in store.probe(ix, &probe) {
-                let sp = store.get(full).expect("indexed keys are live");
+            for (full, sp) in store.probe(ix, &probe) {
                 let sp = match &pp {
                     Some(pp) => pp(sp),
                     None => sp.clone(),
@@ -1960,21 +1952,14 @@ impl<R: Ring> IvmEngine<R> {
         let plan = &self.ind_plans[&ind];
         let proj = plan.proj.clone();
         let positions = plan.positions.clone();
-        let counts = self.ind_counts.get_mut(&ind).expect("registered");
+        let mut counts = self.ind_counts.get_mut(&ind);
         let mut delta = Relation::new(proj);
         for (t, sign) in transitions {
             let key = t.project(&positions);
-            let c = counts.entry(key.clone()).or_insert(0);
-            let before = *c;
-            *c += i64::from(*sign);
-            let now = *c;
-            if now == 0 {
-                counts.remove(&key);
-            }
-            if before == 0 && now == 1 {
-                delta.insert(key, R::one());
-            } else if before == 1 && now == 0 {
-                delta.insert(key, R::one().neg());
+            match support_transition(counts.as_deref_mut(), &key, *sign) {
+                1 => delta.insert(key, R::one()),
+                -1 => delta.insert(key, R::one().neg()),
+                _ => {}
             }
         }
         delta
@@ -2035,6 +2020,32 @@ impl<R: Ring> IvmEngine<R> {
     /// Number of updates applied so far.
     pub fn updates_applied(&self) -> u64 {
         self.updates_applied
+    }
+}
+
+/// Apply a leaf support transition `sign` (±1) to the support count of
+/// the indicator key `key`; returns the indicator's own transition
+/// (`1` appeared, `-1` disappeared, `0` none). `None` counts mark an
+/// injective projection, whose transitions are the leaf's.
+fn support_transition<K: TupleKey>(
+    counts: Option<&mut FxHashMap<Tuple, i64>>,
+    key: &K,
+    sign: i8,
+) -> i8 {
+    let Some(counts) = counts else {
+        return sign;
+    };
+    let c = counts.entry(key.materialize()).or_insert(0);
+    let before = *c;
+    *c += i64::from(sign);
+    let now = *c;
+    if now == 0 {
+        counts.remove(&key.materialize());
+    }
+    match (before, now) {
+        (0, 1) => 1,
+        (1, 0) => -1,
+        _ => 0,
     }
 }
 

@@ -243,10 +243,7 @@ impl<R: Ring> TriangleHlEngine<R> {
             // y light: enumerate its ≤ 2θ tuples, probe both parts of
             // relₖ₊₂ pointwise.
             let yk = Tuple::single(y.clone());
-            for t1 in self.light[kp1].probe(self.light_first[kp1], &yk) {
-                let Some(p1) = self.light[kp1].get(t1) else {
-                    continue;
-                };
+            for (t1, p1) in self.light[kp1].probe(self.light_first[kp1], &yk) {
                 let zx = Tuple::pair(t1.get(1).clone(), x.clone());
                 if let Some(p2) = self.light[kp2].get(&zx) {
                     dq.add_assign(&p1.mul(p2));
@@ -271,21 +268,16 @@ impl<R: Ring> TriangleHlEngine<R> {
         if x_heavy {
             // Wₖ(x, w) += δ ⊗ relₖ₊₁ᴸ(y, w) — bounded by y's light degree.
             let yk = Tuple::single(y.clone());
-            for t1 in self.light[kp1].probe(self.light_first[kp1], &yk) {
-                if let Some(pw) = self.light[kp1].get(t1) {
-                    self.aux[k]
-                        .insert_ref(&Tuple::pair(x.clone(), t1.get(1).clone()), payload.mul(pw));
-                }
+            for (t1, pw) in self.light[kp1].probe(self.light_first[kp1], &yk) {
+                self.aux[k].insert_ref(&Tuple::pair(x.clone(), t1.get(1).clone()), payload.mul(pw));
             }
         } else {
             // Wₖ₊₂(u, y) += relₖ₊₂ᴴ(u, x) ⊗ δ — bounded by the number
             // of heavy keys u of relₖ₊₂ (one tuple (u, x) each).
             let xk = Tuple::single(x.clone());
-            for t2 in self.heavy[kp2].probe(self.heavy_second[kp2], &xk) {
-                if let Some(pu) = self.heavy[kp2].get(t2) {
-                    self.aux[kp2]
-                        .insert_ref(&Tuple::pair(t2.get(0).clone(), y.clone()), pu.mul(&payload));
-                }
+            for (t2, pu) in self.heavy[kp2].probe(self.heavy_second[kp2], &xk) {
+                self.aux[kp2]
+                    .insert_ref(&Tuple::pair(t2.get(0).clone(), y.clone()), pu.mul(&payload));
             }
         }
 
@@ -351,8 +343,7 @@ impl<R: Ring> TriangleHlEngine<R> {
                 (&self.heavy[j], self.heavy_first[j])
             };
             src.probe(ix, &xk)
-                .iter()
-                .filter_map(|t| src.get(t).map(|p| (t.clone(), p.clone())))
+                .map(|(t, p)| (t.clone(), p.clone()))
                 .collect()
         };
         for (t, m) in &moved {
@@ -369,25 +360,21 @@ impl<R: Ring> TriangleHlEngine<R> {
             // Wⱼ(x, w) gains (promotion) or loses (demotion) the
             // contribution m ⊗ relⱼ₊₁ᴸ(v, w).
             let vk = Tuple::single(v.clone());
-            for t1 in self.light[jp1].probe(self.light_first[jp1], &vk) {
-                if let Some(pw) = self.light[jp1].get(t1) {
-                    let d = m.mul(pw);
-                    self.aux[j].insert_ref(
-                        &Tuple::pair(x.clone(), t1.get(1).clone()),
-                        if to_heavy { d } else { d.neg() },
-                    );
-                }
+            for (t1, pw) in self.light[jp1].probe(self.light_first[jp1], &vk) {
+                let d = m.mul(pw);
+                self.aux[j].insert_ref(
+                    &Tuple::pair(x.clone(), t1.get(1).clone()),
+                    if to_heavy { d } else { d.neg() },
+                );
             }
             // Wⱼ₊₂(u, v) loses (promotion) or gains (demotion) the
             // contribution relⱼ₊₂ᴴ(u, x) ⊗ m.
-            for t2 in self.heavy[jp2].probe(self.heavy_second[jp2], &xk) {
-                if let Some(pu) = self.heavy[jp2].get(t2) {
-                    let d = pu.mul(m);
-                    self.aux[jp2].insert_ref(
-                        &Tuple::pair(t2.get(0).clone(), v.clone()),
-                        if to_heavy { d.neg() } else { d },
-                    );
-                }
+            for (t2, pu) in self.heavy[jp2].probe(self.heavy_second[jp2], &xk) {
+                let d = pu.mul(m);
+                self.aux[jp2].insert_ref(
+                    &Tuple::pair(t2.get(0).clone(), v.clone()),
+                    if to_heavy { d.neg() } else { d },
+                );
             }
         }
         self.deg[j].set_heavy(x, to_heavy);
@@ -451,13 +438,11 @@ impl<R: Ring> TriangleHlEngine<R> {
             let mut expect: FxHashMap<Tuple, R> = FxHashMap::default();
             for (th, ph) in self.heavy[k].iter() {
                 let vk = Tuple::single(th.get(1).clone());
-                for tl in self.light[kp1].probe(self.light_first[kp1], &vk) {
-                    if let Some(pl) = self.light[kp1].get(tl) {
-                        expect
-                            .entry(Tuple::pair(th.get(0).clone(), tl.get(1).clone()))
-                            .or_insert_with(R::zero)
-                            .add_assign(&ph.mul(pl));
-                    }
+                for (tl, pl) in self.light[kp1].probe(self.light_first[kp1], &vk) {
+                    expect
+                        .entry(Tuple::pair(th.get(0).clone(), tl.get(1).clone()))
+                        .or_insert_with(R::zero)
+                        .add_assign(&ph.mul(pl));
                 }
             }
             expect.retain(|_, p| !p.is_zero());
@@ -486,8 +471,7 @@ impl<R: Ring> TriangleHlEngine<R> {
                     (&self.light[1], self.light_first[1]),
                     (&self.heavy[1], self.heavy_first[1]),
                 ] {
-                    for t1 in store1.probe(ix1, &bk) {
-                        let Some(p1) = store1.get(t1) else { continue };
+                    for (t1, p1) in store1.probe(ix1, &bk) {
                         let ca = Tuple::pair(t1.get(1).clone(), t0.get(0).clone());
                         for store2 in [&self.light[2], &self.heavy[2]] {
                             if let Some(p2) = store2.get(&ca) {

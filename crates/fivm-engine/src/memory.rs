@@ -1,5 +1,6 @@
-//! Approximate memory accounting (replaces the paper’s gperftools
-//! profiling; see DESIGN.md §3).
+//! Approximate memory accounting (a stand-in for the paper’s gperftools
+//! profiling; the benchmark's `state_bytes_per_tuple` counts real
+//! allocator bytes instead).
 //!
 //! Views report resident bytes from entry counts, key widths, payload
 //! sizes and fixed per-entry overheads. Absolute numbers differ from a

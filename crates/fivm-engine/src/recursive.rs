@@ -201,8 +201,7 @@ impl<R: Ring> RecursiveIvm<R> {
             .expect("subset");
         let mut out = Relation::new(out_schema);
         for (t, p) in acc.iter() {
-            for full in store.probe(ix, &t.project(&acc_probe)) {
-                let sp = store.get(full).expect("indexed keys are live");
+            for (full, sp) in store.probe(ix, &t.project(&acc_probe)) {
                 out.insert(t.concat_projected(full, &rest_pos), p.mul(sp));
             }
         }

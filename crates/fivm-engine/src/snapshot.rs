@@ -32,7 +32,7 @@ use crate::subscribe::{Subscriber, SubscriptionHub};
 use crate::view::ViewStore;
 use fivm_core::sync::atomic::{AtomicU64, Ordering};
 use fivm_core::sync::RwLock;
-use fivm_core::{Catalog, Delta, Relation, Ring, Tuple, TupleKey};
+use fivm_core::{ByIds, Catalog, Delta, Relation, Ring, Tuple, TupleKey};
 use fivm_query::{NodeId, RelIndex};
 use std::sync::Arc;
 
@@ -138,11 +138,13 @@ impl<R: Ring> EngineSnapshot<R> {
         self.view(node)?.get(key)
     }
 
-    /// Secondary-index probe in a node's view (lock-free). The index
-    /// must have been created on the live store before this epoch was
-    /// published.
-    pub fn probe<K: TupleKey + ?Sized>(&self, node: NodeId, ix: usize, key: &K) -> &[Tuple] {
-        self.view(node).map(|v| v.probe(ix, key)).unwrap_or(&[])
+    /// Secondary-index probe in a node's view (lock-free): the matching
+    /// `(key, payload)` entries, none if the node is not materialized.
+    /// The index must have been created on the live store before this
+    /// epoch was published.
+    pub fn probe<K: TupleKey + ?Sized>(&self, node: NodeId, ix: usize, key: &K) -> ByIds<'_, R> {
+        self.view(node)
+            .map_or_else(ByIds::empty, |v| v.probe(ix, key))
     }
 
     /// Full enumeration of a node's view (lock-free).

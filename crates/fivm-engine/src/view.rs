@@ -6,14 +6,21 @@
 //! patterns that delta propagation needs. Indexes are created on demand
 //! and maintained incrementally with the primary data.
 //!
-//! Both the primary map and the secondary indexes are
-//! [`TupleMap`]s, so every lookup accepts a borrowed [`TupleKey`] — the
-//! engine probes with projections of tuples it already holds and never
-//! materializes probe keys. Deletions leave capacity in place (the
-//! primary via tombstones, the indexes by keeping emptied buckets), so
-//! steady-state single-tuple maintenance does not allocate.
+//! The primary map is a [`TupleMap`], which keeps keys and payloads in
+//! an entry arena and gives each live key a stable `u32` entry id. A
+//! secondary index maps each probe key to the *ids* of the full keys
+//! sharing it — 4 bytes per indexed key instead of a key copy — so
+//! [`ViewStore::probe`] reads `(key, payload)` pairs straight from the
+//! arena without a second hash probe, and a delete drops an id from
+//! its buckets by scanning `u32`s. Every lookup accepts a borrowed
+//! [`TupleKey`]: the engine probes with projections of tuples it
+//! already holds and never materializes probe keys. Deletions leave
+//! capacity in place (the primary via tombstones and free-list cells
+//! that the next insert reuses, the indexes by keeping emptied
+//! buckets), so steady-state single-tuple maintenance does not
+//! allocate.
 
-use fivm_core::{Relation, Ring, Schema, Tuple, TupleKey, TupleMap};
+use fivm_core::{ByIds, ProjKey, Relation, Ring, Schema, Tuple, TupleKey, TupleMap};
 
 /// How an insert changed a key's membership (support transitions drive
 /// indicator maintenance, Example B.2).
@@ -28,7 +35,8 @@ pub enum SupportChange {
 }
 
 /// A secondary index: probe-key positions within the view schema, and a
-/// map from probe keys to the full keys sharing them.
+/// map from probe keys to the entry ids (in the primary map) of the
+/// full keys sharing them.
 ///
 /// Buckets whose last key is removed are kept (empty) so that churn on
 /// a stable key universe never reallocates — but only up to a
@@ -39,7 +47,7 @@ pub enum SupportChange {
 #[derive(Clone, Debug)]
 struct SecondaryIndex {
     positions: Vec<usize>,
-    map: TupleMap<Vec<Tuple>>,
+    map: TupleMap<Vec<u32>>,
     /// Buckets currently holding at least one key.
     live: usize,
     /// High-water mark of `live` — the sweep's retention budget.
@@ -57,6 +65,20 @@ const INDEX_SWEEP_FLOOR: usize = 64;
 const BATCH_RESERVE_MIN: usize = 1024;
 
 impl SecondaryIndex {
+    /// Re-index every entry of `data`, resetting the sweep counters
+    /// from the rebuilt contents.
+    fn rebuild<R>(&mut self, data: &TupleMap<R>) {
+        self.map.clear();
+        for (id, t, _) in data.iter_ids() {
+            self.map
+                .upsert(&ProjKey::new(t, &self.positions), Vec::new)
+                .1
+                .push(id);
+        }
+        self.live = self.map.len();
+        self.high_water = self.live;
+    }
+
     /// Record a bucket going from empty (or absent) to occupied.
     #[inline]
     fn bucket_filled(&mut self) {
@@ -165,6 +187,12 @@ impl<R: Ring> ViewStore<R> {
         self.data.get(key)
     }
 
+    /// Entry id of `key` in the primary map, if live — the handle its
+    /// secondary-index buckets hold. Stable until the key is erased.
+    pub fn id_of<K: TupleKey + ?Sized>(&self, key: &K) -> Option<u32> {
+        self.data.id_of(key)
+    }
+
     /// Iterate over contents.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &R)> {
         self.data.iter()
@@ -195,19 +223,14 @@ impl<R: Ring> ViewStore<R> {
         if let Some(id) = self.indexes.iter().position(|ix| ix.positions == positions) {
             return id;
         }
-        let mut map: TupleMap<Vec<Tuple>> = TupleMap::new();
-        for t in self.data.keys() {
-            map.upsert(&fivm_core::ProjKey::new(t, &positions), Vec::new)
-                .1
-                .push(t.clone());
-        }
-        let live = map.len();
-        self.indexes.push(SecondaryIndex {
+        let mut ix = SecondaryIndex {
             positions,
-            map,
-            live,
-            high_water: live,
-        });
+            map: TupleMap::new(),
+            live: 0,
+            high_water: 0,
+        };
+        ix.rebuild(&self.data);
+        self.indexes.push(ix);
         self.indexes.len() - 1
     }
 
@@ -218,15 +241,15 @@ impl<R: Ring> ViewStore<R> {
         self.indexes.iter().map(|ix| ix.positions.clone()).collect()
     }
 
-    /// Keys matching `key` under index `ix`; borrowed probe keys
-    /// accepted.
+    /// The `(key, payload)` entries matching `key` under index `ix`;
+    /// borrowed probe keys accepted. One hash probe of the index, then
+    /// one arena read per hit.
     #[inline]
-    pub fn probe<K: TupleKey + ?Sized>(&self, ix: usize, key: &K) -> &[Tuple] {
-        self.indexes[ix]
-            .map
-            .get(key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn probe<K: TupleKey + ?Sized>(&self, ix: usize, key: &K) -> ByIds<'_, R> {
+        match self.indexes[ix].map.get(key) {
+            Some(ids) => self.data.by_ids(ids),
+            None => ByIds::empty(),
+        }
     }
 
     /// Add `payload` to key `t`, maintaining indexes; keys that sum to
@@ -245,29 +268,24 @@ impl<R: Ring> ViewStore<R> {
             buf.push((t.clone(), payload.clone()));
         }
         self.version += 1;
-        let (appeared, slot) = self.data.upsert(t, R::zero);
+        let (appeared, id, slot) = self.data.upsert_id(t, R::zero);
         slot.add_assign(&payload);
         let disappeared = !appeared && slot.is_zero();
-        if disappeared {
-            self.data.remove(t);
-        }
         if appeared {
             for ix in &mut self.indexes {
-                let (new_bucket, bucket) = ix
-                    .map
-                    .upsert(&fivm_core::ProjKey::new(t, &ix.positions), Vec::new);
+                let (new_bucket, bucket) = ix.map.upsert(&ProjKey::new(t, &ix.positions), Vec::new);
                 let was_empty = new_bucket || bucket.is_empty();
-                bucket.push(t.clone());
+                bucket.push(id);
                 if was_empty {
                     ix.bucket_filled();
                 }
             }
             SupportChange::Appeared
         } else if disappeared {
+            self.data.remove_id(id);
             for ix in &mut self.indexes {
-                let probe = fivm_core::ProjKey::new(t, &ix.positions);
-                if let Some(v) = ix.map.get_mut(&probe) {
-                    if let Some(pos) = v.iter().position(|x| x == t) {
+                if let Some(v) = ix.map.get_mut(&ProjKey::new(t, &ix.positions)) {
+                    if let Some(pos) = v.iter().position(|&x| x == id) {
                         v.swap_remove(pos);
                     }
                     // The bucket is kept even when emptied — churn on a
@@ -349,23 +367,12 @@ impl<R: Ring> ViewStore<R> {
                 .expect("reload relation must be a permutation of the view schema");
             for (t, p) in rel.iter() {
                 if !p.is_zero() {
-                    *self
-                        .data
-                        .upsert(&fivm_core::ProjKey::new(t, &pos), R::zero)
-                        .1 = p.clone();
+                    *self.data.upsert(&ProjKey::new(t, &pos), R::zero).1 = p.clone();
                 }
             }
         }
         for ix in &mut self.indexes {
-            ix.map.clear();
-            for t in self.data.keys() {
-                ix.map
-                    .upsert(&fivm_core::ProjKey::new(t, &ix.positions), Vec::new)
-                    .1
-                    .push(t.clone());
-            }
-            ix.live = ix.map.len();
-            ix.high_water = ix.live;
+            ix.rebuild(&self.data);
         }
     }
 
@@ -403,9 +410,7 @@ impl<R: Ring> ViewStore<R> {
                     // Emptied buckets are retained capacity, not content
                     // (mirrors hash-map capacity, which is not counted).
                     .filter(|(_, v)| !v.is_empty())
-                    .map(|(k, v)| {
-                        k.approx_bytes() + v.iter().map(Tuple::approx_bytes).sum::<usize>() + 16
-                    })
+                    .map(|(k, ids)| k.approx_bytes() + std::mem::size_of_val(&ids[..]) + 16)
                     .sum::<usize>()
             })
             .sum();
@@ -420,6 +425,13 @@ mod tests {
 
     fn sch(vars: &[u32]) -> Schema {
         Schema::new(vars.to_vec())
+    }
+
+    /// A probe's `(key, payload)` hits, sorted.
+    fn hits<K: TupleKey + ?Sized>(v: &ViewStore<i64>, ix: usize, key: &K) -> Vec<(Tuple, i64)> {
+        let mut out: Vec<_> = v.probe(ix, key).map(|(t, &p)| (t.clone(), p)).collect();
+        out.sort();
+        out
     }
 
     #[test]
@@ -437,9 +449,11 @@ mod tests {
         v.insert(tuple![1, 9], 1);
         v.insert(tuple![2, 9], 1);
         v.insert(tuple![3, 8], 1);
-        let hits = v.probe(ix, &tuple![9]);
-        assert_eq!(hits.len(), 2);
-        assert!(hits.contains(&tuple![1, 9]));
+        assert_eq!(v.probe(ix, &tuple![9]).len(), 2);
+        assert_eq!(
+            hits(&v, ix, &tuple![9]),
+            vec![(tuple![1, 9], 1), (tuple![2, 9], 1)]
+        );
         // dedup: asking again returns the same index
         assert_eq!(v.ensure_index(&sch(&[1])), ix);
     }
@@ -460,10 +474,9 @@ mod tests {
         v.insert(tuple![1, 9], 2);
         v.insert(tuple![1, 8], 3);
         v.insert(tuple![1, 9], -2); // erases (1,9)
-        let hits = v.probe(ix, &tuple![1]);
-        assert_eq!(hits, &[tuple![1, 8]]);
+        assert_eq!(hits(&v, ix, &tuple![1]), vec![(tuple![1, 8], 3)]);
         v.insert(tuple![1, 8], -3);
-        assert!(v.probe(ix, &tuple![1]).is_empty());
+        assert_eq!(v.probe(ix, &tuple![1]).len(), 0);
     }
 
     /// Churn on a stable probe-key universe retains its buckets (the
@@ -504,7 +517,7 @@ mod tests {
         );
         // Probing still works after sweeps.
         v.insert(tuple![1, 9], 7);
-        assert_eq!(v.probe(ix2, &tuple![9]), &[tuple![1, 9]]);
+        assert_eq!(hits(&v, ix2, &tuple![9]), vec![(tuple![1, 9], 7)]);
         let _ = ix;
     }
 
@@ -538,7 +551,7 @@ mod tests {
         let small = Relation::from_pairs(sch(&[0, 1]), (0..4i64).map(|i| (tuple![i, i], 1)));
         v.reload(&small);
         assert_eq!(v.len(), 4);
-        assert_eq!(v.probe(ix, &tuple![2]), &[tuple![2, 2]]);
+        assert_eq!(hits(&v, ix, &tuple![2]), vec![(tuple![2, 2], 1)]);
         // Fresh-key churn: without the counter reset the stale budget
         // (2 × 5000) would retain every emptied bucket below it.
         for round in 0..40i64 {
@@ -578,7 +591,7 @@ mod tests {
         assert_eq!(v.get(&pk), Some(&7));
         // secondary probe: π[0](held) = (9)
         let sk = ProjKey::new(&held, &[0]);
-        assert_eq!(v.probe(ix, &sk), &[tuple![1, 9]]);
+        assert_eq!(hits(&v, ix, &sk), vec![(tuple![1, 9], 7)]);
     }
 
     #[test]

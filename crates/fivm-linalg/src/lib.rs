@@ -2,11 +2,11 @@
 //!
 //! The paper’s Figure 6 compares maintenance strategies for matrix chain
 //! multiplication under two runtimes: DBToaster hash maps and Octave
-//! (dense arrays + BLAS). This crate is the stand-in for the latter
-//! (DESIGN.md §3 documents the substitution): a from-scratch dense
-//! [`Matrix`] with cache-aware multiplication, the textbook
-//! matrix-chain-order DP ([`chain`]), and the LINVIEW-style incremental
-//! maintenance strategies of §6.1 ([`linview`]):
+//! (dense arrays + BLAS). This crate is the stand-in for the latter:
+//! a from-scratch dense [`Matrix`] with cache-aware multiplication,
+//! the textbook matrix-chain-order DP ([`chain`]), and the
+//! LINVIEW-style incremental maintenance strategies of §6.1
+//! ([`linview`]):
 //!
 //! * [`linview::ReEvalChain`] — recompute the product on every update,
 //! * [`linview::FirstOrderChain`] — 1-IVM: `δA = A₁ δA₂ A₃` with full

@@ -5,7 +5,7 @@
 //! matrix multiplications” (paper §3, §6.1). This module estimates the
 //! evaluation/maintenance cost of a view tree from per-variable domain
 //! cardinalities and searches the space of valid variable orders for
-//! small queries — the planning ablation the DESIGN.md calls out.
+//! small queries.
 //!
 //! The cost model is the classical factorized-width bound: each view’s
 //! size is estimated as the product of its key variables’ effective

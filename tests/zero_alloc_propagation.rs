@@ -110,6 +110,7 @@ fn steady_state_propagation_allocates_nothing() {
     symbol_phase();
     factored_phase();
     logging_phase();
+    triangle_phase();
 }
 
 fn single_tuple_phase() {
@@ -194,6 +195,94 @@ fn single_tuple_phase() {
         engine.apply(*rel, d);
     }
     assert_ne!(engine.result(), result_before, "toggles change the count");
+}
+
+/// Triangle-with-indicators variant: the cyclic triangle count with an
+/// indicator projection (Appendix B) probes secondary indexes on every
+/// update. Each cycle deletes resident edges and re-inserts them, and
+/// inserts then deletes a fresh triangle, so leaf and indicator keys go
+/// through support transitions: every delete frees an entry id and an
+/// index-bucket slot that the following insert must reuse. After
+/// warm-up the cycles allocate nothing — entry cells come back off the
+/// free list and emptied buckets are kept for the returning keys.
+fn triangle_phase() {
+    let q = QueryDef::triangle();
+    let vo = VariableOrder::parse("A - B - C", &q.catalog);
+    let mut tree = ViewTree::build(&q, &vo);
+    assert!(!add_indicators(&mut tree, &q).is_empty());
+    let mut engine: IvmEngine<i64> = IvmEngine::new(q.clone(), tree, &[0, 1, 2], LiftingMap::new());
+    let edge = |rel: usize, a: i64, b: i64, m: i64| -> Step {
+        (
+            rel,
+            Delta::Flat(Relation::from_pairs(
+                q.relations[rel].schema.clone(),
+                [(tuple![a, b], m)],
+            )),
+        )
+    };
+
+    // Resident graph: every edge a → b with a ≠ b over six nodes, in
+    // each of R, S and T.
+    for rel in 0..3 {
+        for a in 0..6 {
+            for b in (0..6).filter(|&b| b != a) {
+                let (rel, d) = edge(rel, a, b, 1);
+                engine.apply(rel, &d);
+            }
+        }
+    }
+    let result_before = engine.result();
+    assert!(
+        !result_before.is_empty(),
+        "the resident graph has triangles"
+    );
+
+    let cycle: Vec<Step> = vec![
+        // Delete the resident triangle 1 → 2 → 3 → 1, then restore it.
+        edge(0, 1, 2, -1),
+        edge(1, 2, 3, -1),
+        edge(2, 3, 1, -1),
+        edge(2, 3, 1, 1),
+        edge(1, 2, 3, 1),
+        edge(0, 1, 2, 1),
+        // A fresh triangle 7 → 8 → 9 → 7 on new probe keys, then gone.
+        edge(0, 7, 8, 1),
+        edge(1, 8, 9, 1),
+        edge(2, 9, 7, 1),
+        edge(1, 8, 9, -1),
+        edge(0, 7, 8, -1),
+        edge(2, 9, 7, -1),
+        // Payload toggle without a support transition.
+        edge(0, 4, 5, 1),
+        edge(0, 4, 5, -1),
+    ];
+    for _ in 0..2 {
+        for (rel, d) in &cycle {
+            engine.apply(*rel, d);
+        }
+    }
+
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    COUNTING_THREAD.with(|c| c.set(true));
+    COUNTING.store(true, Ordering::SeqCst);
+    for _ in 0..25 {
+        for (rel, d) in &cycle {
+            engine.apply(*rel, d);
+        }
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        allocations, 0,
+        "steady-state triangle propagation with indicators must not \
+         allocate (saw {allocations} allocations across 25 toggle cycles)"
+    );
+    assert_eq!(engine.result(), result_before);
+    for (rel, d) in &cycle[..3] {
+        engine.apply(*rel, d);
+    }
+    assert_ne!(engine.result(), result_before, "deletes retract a triangle");
 }
 
 /// Symbol-key variant: string-valued key columns, interned at "load"
