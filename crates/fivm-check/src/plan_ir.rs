@@ -24,8 +24,13 @@ pub struct PlanCtx {
     pub node_indexes: Vec<Vec<Vec<usize>>>,
 }
 
-/// One sibling join of a compiled step.
+/// One sibling join of a compiled step. A step the engine compiles in
+/// two sibling orders is exported once per order, each as its own
+/// [`FastStepIr`].
 pub struct SiblingIr {
+    /// The node whose store is probed. An indicator that reads its
+    /// relation's leaf store is named by that leaf (same keys, same
+    /// order), so index ids resolve against the store actually probed.
     pub node: usize,
     pub full_key: bool,
     /// Positions in the current delta tuple forming the probe key.

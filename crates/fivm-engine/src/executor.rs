@@ -13,7 +13,9 @@
 //!
 //! Indicator projections (Appendix B) are maintained with support
 //! counts per Example B.2; an update to `R` is followed by updates to
-//! its indicator projections, each propagated along its own path.
+//! its indicator projections, each propagated along its own path. An
+//! indicator over all of `R`'s keys keeps neither counts nor a store
+//! (see "Sibling order" below).
 //!
 //! # The compiled fast path
 //!
@@ -89,6 +91,40 @@
 //! (tests/zero_alloc_propagation.rs proves both the single-tuple and
 //! the batch claim).
 //!
+//! # Sibling order
+//!
+//! A step that joins two siblings, each of which the delta can probe
+//! through a secondary index, and after which the other is a full-key
+//! probe, gets two compiled orders. The triangle's
+//! `δS(b,c) ⋈ T(c,a) ⋈ ∃R(a,b)` is the case: `T` by `c`, then `∃R` by
+//! `(a,b)`; or `∃R` by `b`, then `T` by `(c,a)`. Per delta tuple, the
+//! step reads the lengths of both candidate index buckets, skips the
+//! tuple when either is empty, iterates the smaller bucket (the
+//! compiled order wins ties) and point-probes the other sibling. This
+//! is the "intersect from the smaller side" rule of worst-case-optimal
+//! joins, applied per tuple: an update costs O(min deg) probes rather
+//! than the degree of whichever sibling the plan happens to name first.
+//! The rule has no knob, and the worker pool runs the same per-tuple
+//! function, so the worker count never changes which order runs.
+//!
+//! Either order multiplies `p ⊗ first ⊗ second` in the compiled
+//! sibling order before the margin lifts, so exact rings stay
+//! bit-identical to the general path whichever bucket is iterated; only
+//! the order in which output pairs reach the step's merge differs.
+//!
+//! An indicator whose projection is its relation's whole leaf key, in
+//! the leaf's column order (`∃R(A,B)` over `R(A,B)`), keeps no store of
+//! its own. Its contents are the leaf's keys with payload `R::one()`, so
+//! every reader — compiled probes, the factored slot program, the
+//! general path (after the payload pre-projection) — resolves it
+//! through one helper, `IvmEngine::store_node`, to the leaf store and
+//! reads `one` for each payload; the compiled paths skip that product,
+//! since `one` is the identity of `⊗`. The leaf changes before the
+//! relation's own delta propagates, so an indicator that the relation's
+//! own path or one of its other indicator paths probes keeps its store.
+//! Checkpoints cut before the alias existed still carry the indicator's
+//! snapshot; [`IvmEngine::restore_views`] skips it.
+//!
 //! # Parallel propagation
 //!
 //! Within one maintenance step, sibling probes are read-only and tuples
@@ -146,8 +182,11 @@ const FAST_PATH_HASH_MERGE: usize = 1024;
 /// One sibling join in a compiled maintenance step.
 #[derive(Debug)]
 struct FastSibling {
-    /// The sibling view probed.
+    /// The store probed: the sibling's own, or its relation's leaf for
+    /// an aliased indicator (see [`IvmEngine::store_node`]).
     node: NodeId,
+    /// Every payload reads as `R::one()` (an aliased indicator).
+    unit: bool,
     /// True: the delta covers the sibling's full key — primary-map
     /// probe, no new columns. False: partial-key probe through a
     /// secondary index, appending `rest_pos` columns.
@@ -162,6 +201,19 @@ struct FastSibling {
     index_id: usize,
 }
 
+impl FastSibling {
+    /// `p ⊗ hit`, where an aliased indicator's hit reads as `R::one()`,
+    /// the identity of `⊗`, so its product is `p` itself.
+    #[inline]
+    fn times<R: Ring>(&self, p: &R, hit: &R) -> R {
+        if self.unit {
+            p.clone()
+        } else {
+            p.mul(hit)
+        }
+    }
+}
+
 /// One compiled maintenance step (one view-tree node on the path).
 struct FastStep<R> {
     /// The node whose delta this step computes.
@@ -169,13 +221,17 @@ struct FastStep<R> {
     /// Whether that node is materialized (delta must be merged).
     store: bool,
     /// Sibling joins, in plan order.
-    siblings: Vec<FastSibling>,
+    siblings: Box<[FastSibling]>,
     /// Non-trivial margin liftings: position of the marginalized
     /// variable in the joined tuple, applied in margin order.
     lifts: Vec<(usize, Lifting<R>)>,
     /// Projection from the joined tuple onto the node's key order
     /// (drops marginalized variables).
     out_pos: Box<[usize]>,
+    /// The same step with its two siblings probed in the other order,
+    /// chosen per tuple by bucket length (module docs, "Sibling
+    /// order"); its own `swapped` is `None`.
+    swapped: Option<Box<FastStep<R>>>,
 }
 
 /// A fully compiled maintenance path (see the module docs).
@@ -388,6 +444,10 @@ pub struct IvmEngine<R: Ring> {
     /// Pool + per-worker scratches, created on first parallel step.
     par: Option<ParRuntime<R>>,
     updates_applied: u64,
+    /// Delta tuples joined by the compiled and the swapped order of a
+    /// two-order step on the sequential path.
+    #[cfg(test)]
+    order_runs: [u64; 2],
 }
 
 impl<R: Ring> IvmEngine<R> {
@@ -444,6 +504,32 @@ impl<R: Ring> IvmEngine<R> {
         for s in forced {
             plan.store[s] = true;
         }
+        // A full-key indicator reads its relation's leaf store (module
+        // docs, "Sibling order"). The leaf changes before the
+        // relation's own delta and its other indicators' deltas
+        // propagate, an indicator's own store only after them; so only
+        // an indicator that none of those paths probes is aliased.
+        for (id, n) in tree.nodes.iter().enumerate() {
+            let NodeKind::Indicator { rel, proj } = &n.kind else {
+                continue;
+            };
+            let Some(leaf) = tree.leaf_of(*rel) else {
+                continue;
+            };
+            let read_early = rel_steps[*rel]
+                .iter()
+                .chain(
+                    tree.indicators_of(*rel)
+                        .iter()
+                        .filter(|&&other| other != id)
+                        .map(|other| &ind_steps[other]),
+                )
+                .flat_map(|steps| steps.iter())
+                .any(|step| step.siblings.contains(&id));
+            if plan.store[leaf] && *proj == tree.nodes[leaf].keys && !read_early {
+                plan.store[id] = false;
+            }
+        }
         let views = tree
             .nodes
             .iter()
@@ -473,6 +559,8 @@ impl<R: Ring> IvmEngine<R> {
             par_threshold: parallel::env_parallel_threshold(),
             par: None,
             updates_applied: 0,
+            #[cfg(test)]
+            order_runs: [0; 2],
         };
         engine.compile_fast_plans(&ind_steps);
         engine
@@ -548,63 +636,16 @@ impl<R: Ring> IvmEngine<R> {
         let mut cur = entry_schema.clone();
         let mut compiled = Vec::with_capacity(steps.len());
         for step in steps.iter() {
-            let mut siblings = Vec::with_capacity(step.siblings.len());
-            for &s in &step.siblings {
-                let sib = self.tree.nodes[s].keys.clone();
-                let common = cur.intersect(&sib);
-                if common.len() == sib.len() {
-                    // Full-key probe, in the sibling's column order.
-                    let probe_pos = cur.positions_of(sib.vars())?;
-                    siblings.push(FastSibling {
-                        node: s,
-                        full_key: true,
-                        probe_pos: probe_pos.into(),
-                        rest_pos: Box::from([]),
-                        index_id: usize::MAX,
-                    });
-                } else {
-                    // Partial-key probe through a secondary index keyed
-                    // on the common variables (in current-delta order).
-                    let index_positions = sib.positions_of(common.vars())?;
-                    let probe_pos = cur.positions_of(common.vars())?;
-                    let rest_vars = sib.minus(&common);
-                    let rest_pos = sib.positions_of(rest_vars.vars())?;
-                    let index_id = self.views[s]
-                        .as_mut()?
-                        .ensure_index_on_positions(index_positions);
-                    siblings.push(FastSibling {
-                        node: s,
-                        full_key: false,
-                        probe_pos: probe_pos.into(),
-                        rest_pos: rest_pos.into(),
-                        index_id,
-                    });
-                    cur = cur.union(&sib);
-                }
+            let swap = match step.siblings[..] {
+                [s0, s1] if self.swappable(&cur, s0, s1) => Some((cur.clone(), [s1, s0])),
+                _ => None,
+            };
+            let mut fast = self.compile_order(&mut cur, step, &step.siblings)?;
+            if let Some((mut before, order)) = swap {
+                fast.swapped = self.compile_order(&mut before, step, &order).map(Box::new);
             }
-            let mut lifts = Vec::new();
-            for &mv in &step.margin {
-                let pos = cur.position(mv)?;
-                let lifting = self.liftings.get(mv);
-                if !lifting.is_one() {
-                    lifts.push((pos, lifting));
-                }
-            }
-            // The step's output is the node's keys: the joined schema
-            // minus the margins, reordered. Shape mismatch → give up.
-            let node_keys = &self.tree.nodes[step.node].keys;
-            if node_keys.len() + step.margin.len() != cur.len() {
-                return None;
-            }
-            let out_pos = cur.positions_of(node_keys.vars())?;
-            compiled.push(FastStep {
-                node: step.node,
-                store: self.plan.store[step.node],
-                siblings,
-                lifts,
-                out_pos: out_pos.into(),
-            });
-            cur = node_keys.clone();
+            compiled.push(fast);
+            cur = self.tree.nodes[step.node].keys.clone();
         }
         Some(FastPlan {
             entry,
@@ -612,6 +653,114 @@ impl<R: Ring> IvmEngine<R> {
             entry_schema,
             steps: compiled,
         })
+    }
+
+    /// Compile one step's sibling joins in `order` from a delta over
+    /// `cur` (left as the joined schema), then its margin lifts and its
+    /// projection onto the node's keys; `None` on a shape mismatch.
+    fn compile_order(
+        &mut self,
+        cur: &mut Schema,
+        step: &DeltaStep,
+        order: &[NodeId],
+    ) -> Option<FastStep<R>> {
+        let mut siblings = Vec::with_capacity(order.len());
+        for &s in order {
+            siblings.push(self.compile_sibling(cur, s)?);
+        }
+        let mut lifts = Vec::new();
+        for &mv in &step.margin {
+            let pos = cur.position(mv)?;
+            let lifting = self.liftings.get(mv);
+            if !lifting.is_one() {
+                lifts.push((pos, lifting));
+            }
+        }
+        // The step's output is the node's keys: the joined schema minus
+        // the margins, reordered. Shape mismatch → give up.
+        let node_keys = &self.tree.nodes[step.node].keys;
+        if node_keys.len() + step.margin.len() != cur.len() {
+            return None;
+        }
+        let out_pos = cur.positions_of(node_keys.vars())?;
+        Some(FastStep {
+            node: step.node,
+            store: self.plan.store[step.node],
+            siblings: siblings.into(),
+            lifts,
+            out_pos: out_pos.into(),
+            swapped: None,
+        })
+    }
+
+    /// Compile the probe of sibling `s` by a delta over `cur`: a
+    /// primary-map probe in the sibling's column order when the delta
+    /// binds all its keys, else a probe of a secondary index keyed on
+    /// the common variables (in delta order), created here, that
+    /// appends the sibling's other columns to `cur`.
+    fn compile_sibling(&mut self, cur: &mut Schema, s: NodeId) -> Option<FastSibling> {
+        let (node, unit) = self.store_node(s);
+        let sib = self.tree.nodes[s].keys.clone();
+        let common = cur.intersect(&sib);
+        if common.len() == sib.len() {
+            return Some(FastSibling {
+                node,
+                unit,
+                full_key: true,
+                probe_pos: cur.positions_of(sib.vars())?.into(),
+                rest_pos: Box::from([]),
+                index_id: usize::MAX,
+            });
+        }
+        let index_positions = sib.positions_of(common.vars())?;
+        let probe_pos = cur.positions_of(common.vars())?;
+        let rest_vars = sib.minus(&common);
+        let rest_pos = sib.positions_of(rest_vars.vars())?;
+        let index_id = self.views[node]
+            .as_mut()?
+            .ensure_index_on_positions(index_positions);
+        *cur = cur.union(&sib);
+        Some(FastSibling {
+            node,
+            unit,
+            full_key: false,
+            probe_pos: probe_pos.into(),
+            rest_pos: rest_pos.into(),
+            index_id,
+        })
+    }
+
+    /// Whether a two-sibling step from a delta over `cur` gets a
+    /// swapped order (module docs, "Sibling order"): each sibling,
+    /// probed first, is a secondary-index probe on some but not all of
+    /// its keys, after which the other sibling is a full-key probe.
+    fn swappable(&self, cur: &Schema, s0: NodeId, s1: NodeId) -> bool {
+        let (k0, k1) = (&self.tree.nodes[s0].keys, &self.tree.nodes[s1].keys);
+        let index_then_full = |first: &Schema, second: &Schema| {
+            let common = first.iter().filter(|&&v| cur.contains(v)).count();
+            common > 0
+                && common < first.len()
+                && second.iter().all(|&v| cur.contains(v) || first.contains(v))
+        };
+        index_then_full(k0, k1) && index_then_full(k1, k0)
+    }
+
+    /// Where node `n`'s view lives: its own store, or, for an
+    /// indicator over its relation's whole leaf key that keeps no store
+    /// (`new` decides which), the leaf's store, whose payloads then all
+    /// read as `R::one()` (the `bool`). Every sibling read resolves its
+    /// node here (module docs, "Sibling order").
+    fn store_node(&self, n: NodeId) -> (NodeId, bool) {
+        if self.views[n].is_none() {
+            if let NodeKind::Indicator { rel, proj } = &self.tree.nodes[n].kind {
+                if let Some(leaf) = self.tree.leaf_of(*rel) {
+                    if self.views[leaf].is_some() && *proj == self.tree.nodes[leaf].keys {
+                        return (leaf, true);
+                    }
+                }
+            }
+        }
+        (n, false)
     }
 
     /// Compile the maintenance path of `rel` for one factorization
@@ -670,6 +819,8 @@ impl<R: Ring> IvmEngine<R> {
                 if sharing.is_empty() {
                     // Cartesian contribution: the sibling becomes its
                     // own factor, unexpanded.
+                    // An aliased indicator has no store of its own; such
+                    // a shape takes the general path.
                     self.views[s].as_ref()?;
                     let out = alloc_slot(&mut next_slot);
                     ops.push(FactorOp::Adopt { node: s, out });
@@ -696,33 +847,7 @@ impl<R: Ring> IvmEngine<R> {
                     produced.remove(i);
                 }
                 // Compile the probe exactly like the flat path.
-                let common = cur_schema.intersect(&sib_keys);
-                let sib = if common.len() == sib_keys.len() {
-                    let probe_pos = cur_schema.positions_of(sib_keys.vars())?;
-                    FastSibling {
-                        node: s,
-                        full_key: true,
-                        probe_pos: probe_pos.into(),
-                        rest_pos: Box::from([]),
-                        index_id: usize::MAX,
-                    }
-                } else {
-                    let index_positions = sib_keys.positions_of(common.vars())?;
-                    let probe_pos = cur_schema.positions_of(common.vars())?;
-                    let rest_vars = sib_keys.minus(&common);
-                    let rest_pos = sib_keys.positions_of(rest_vars.vars())?;
-                    let index_id = self.views[s]
-                        .as_mut()?
-                        .ensure_index_on_positions(index_positions);
-                    cur_schema = cur_schema.union(&sib_keys);
-                    FastSibling {
-                        node: s,
-                        full_key: false,
-                        probe_pos: probe_pos.into(),
-                        rest_pos: rest_pos.into(),
-                        index_id,
-                    }
-                };
+                let sib = self.compile_sibling(&mut cur_schema, s)?;
                 let out = alloc_slot(&mut next_slot);
                 ops.push(FactorOp::Join {
                     input: cur_slot,
@@ -965,10 +1090,16 @@ impl<R: Ring> IvmEngine<R> {
     /// `snapshots` must cover every materialized node of this engine
     /// (checkpoints always snapshot all of them); panics otherwise,
     /// since a partial restore would silently mix checkpoint state with
-    /// pre-restore state.
+    /// pre-restore state. A snapshot of a full-key indicator, which
+    /// this engine reads from its relation's leaf store (module docs,
+    /// "Sibling order"), is skipped: checkpoints cut before that alias
+    /// existed carry one, and the leaf's own snapshot holds its keys.
     pub fn restore_views(&mut self, snapshots: &[(NodeId, Relation<R>)], updates_applied: u64) {
         let mut restored = vec![false; self.views.len()];
         for (node, rel) in snapshots {
+            if self.store_node(*node).1 {
+                continue;
+            }
             let store = self.views[*node]
                 .as_mut()
                 .expect("checkpointed node must be materialized in this engine");
@@ -1303,17 +1434,20 @@ impl<R: Ring> IvmEngine<R> {
     /// ping-pong buffers, then lift/project/merge. Leaves the step's
     /// merged delta in `scratch.a`.
     fn sequential_step(&mut self, step: &FastStep<R>, scratch: &mut Scratch<R>) {
+        debug_assert!(scratch.acc.is_empty());
+        if let Some(swapped) = &step.swapped {
+            self.two_order_step(step, swapped, scratch);
+            return;
+        }
         // Sibling joins.
         for sib in &step.siblings {
-            let store = self.views[sib.node]
-                .as_ref()
-                .unwrap_or_else(|| panic!("sibling view {} not materialized", sib.node));
+            let store = sibling_view(&self.views, sib.node);
             scratch.b.clear();
             if sib.full_key {
                 for (t, p) in scratch.a.drain(..) {
                     let probe = ProjKey::new(&t, &sib.probe_pos);
                     if let Some(sp) = store.get(&probe) {
-                        let prod = p.mul(sp);
+                        let prod = sib.times(&p, sp);
                         if !prod.is_zero() {
                             scratch.b.push((t, prod));
                         }
@@ -1323,7 +1457,7 @@ impl<R: Ring> IvmEngine<R> {
                 for (t, p) in scratch.a.drain(..) {
                     let probe = ProjKey::new(&t, &sib.probe_pos);
                     for (full, sp) in store.probe(sib.index_id, &probe) {
-                        let prod = p.mul(sp);
+                        let prod = sib.times(&p, sp);
                         if !prod.is_zero() {
                             scratch
                                 .b
@@ -1340,7 +1474,6 @@ impl<R: Ring> IvmEngine<R> {
         // Margins (lift payloads), then project to the node's keys,
         // merging duplicates through the size-adaptive accumulator
         // (linear scan / sort-merge / hash scratch — module docs).
-        debug_assert!(scratch.acc.is_empty());
         for (t, p) in scratch.a.drain(..) {
             let mut p = p;
             for (pos, lifting) in &step.lifts {
@@ -1354,6 +1487,31 @@ impl<R: Ring> IvmEngine<R> {
         scratch.b.clear();
         scratch.acc.drain_into(&mut scratch.b);
         std::mem::swap(&mut scratch.a, &mut scratch.b);
+    }
+
+    /// [`IvmEngine::sequential_step`] for a step with a swapped order:
+    /// join, lift and merge per tuple, in the order its buckets favour
+    /// (module docs, "Sibling order"). Kept out of line so the common
+    /// single-order step compiles as it would without it.
+    #[inline(never)]
+    fn two_order_step(
+        &mut self,
+        step: &FastStep<R>,
+        swapped: &FastStep<R>,
+        scratch: &mut Scratch<R>,
+    ) {
+        let Scratch { a, b, acc, .. } = scratch;
+        for (t, p) in a.drain(..) {
+            let emit = &mut |key: &ProjKey<'_>, prod| acc.push(key, prod);
+            let _ran = join_two(step, swapped, &self.views, &t, &p, emit);
+            #[cfg(test)]
+            if let Some(swap) = _ran {
+                self.order_runs[usize::from(swap)] += 1;
+            }
+        }
+        b.clear();
+        acc.drain_into(b);
+        std::mem::swap(a, b);
     }
 
     /// One compiled step, fanned out across the worker pool (see the
@@ -1395,20 +1553,29 @@ impl<R: Ring> IvmEngine<R> {
             let mut ws = scratches[w].lock().expect("worker scratch poisoned");
             let ws = &mut *ws;
             ws.a.clear();
+            if let Some(swapped) = &step.swapped {
+                // The sequential path's per-tuple rule, unchanged: the
+                // worker count never changes which order runs.
+                for (t, p) in chunk {
+                    join_two(step, swapped, views, t, p, &mut |key, prod| {
+                        let d = parallel::destination(key.key_hash(), parts);
+                        ws.route[d].push((key.materialize(), prod));
+                    });
+                }
+                return;
+            }
             // `owned` = the current delta lives in ws.a; before the
             // first sibling it is still the borrowed chunk.
             let mut owned = false;
             for sib in &step.siblings {
-                let store = views[sib.node]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("sibling view {} not materialized", sib.node));
+                let store = sibling_view(views, sib.node);
                 ws.b.clear();
                 if sib.full_key {
                     if owned {
                         for (t, p) in ws.a.drain(..) {
                             let probe = ProjKey::new(&t, &sib.probe_pos);
                             if let Some(sp) = store.get(&probe) {
-                                let prod = p.mul(sp);
+                                let prod = sib.times(&p, sp);
                                 if !prod.is_zero() {
                                     ws.b.push((t, prod));
                                 }
@@ -1418,7 +1585,7 @@ impl<R: Ring> IvmEngine<R> {
                         for (t, p) in chunk {
                             let probe = ProjKey::new(t, &sib.probe_pos);
                             if let Some(sp) = store.get(&probe) {
-                                let prod = p.mul(sp);
+                                let prod = sib.times(p, sp);
                                 if !prod.is_zero() {
                                     ws.b.push((t.clone(), prod));
                                 }
@@ -1433,7 +1600,7 @@ impl<R: Ring> IvmEngine<R> {
                         for (t, p) in ws.a.drain(..) {
                             let probe = ProjKey::new(&t, &sib.probe_pos);
                             for (full, sp) in store.probe(sib.index_id, &probe) {
-                                let prod = p.mul(sp);
+                                let prod = sib.times(&p, sp);
                                 if !prod.is_zero() {
                                     ws.b.push((t.concat_projected(full, &sib.rest_pos), prod));
                                 }
@@ -1443,7 +1610,7 @@ impl<R: Ring> IvmEngine<R> {
                         for (t, p) in chunk {
                             let probe = ProjKey::new(t, &sib.probe_pos);
                             for (full, sp) in store.probe(sib.index_id, &probe) {
-                                let prod = p.mul(sp);
+                                let prod = sib.times(p, sp);
                                 if !prod.is_zero() {
                                     ws.b.push((t.concat_projected(full, &sib.rest_pos), prod));
                                 }
@@ -1627,9 +1794,7 @@ impl<R: Ring> IvmEngine<R> {
                 scratch.slots[*out] = buf;
             }
             FactorOp::Adopt { node, out } => {
-                let store = self.views[*node]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("sibling view {node} not materialized"));
+                let store = sibling_view(&self.views, *node);
                 let mut buf = std::mem::take(&mut scratch.slots[*out]);
                 buf.clear();
                 buf.extend(store.iter().map(|(t, p)| (t.clone(), p.clone())));
@@ -1641,9 +1806,7 @@ impl<R: Ring> IvmEngine<R> {
                 sib,
                 fused,
             } => {
-                let store = self.views[sib.node]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("sibling view {} not materialized", sib.node));
+                let store = sibling_view(&self.views, sib.node);
                 let mut buf = std::mem::take(&mut scratch.slots[*out]);
                 buf.clear();
                 let Scratch { slots, acc, .. } = &mut *scratch;
@@ -1654,7 +1817,7 @@ impl<R: Ring> IvmEngine<R> {
                             for (t, p) in input_buf {
                                 let probe = ProjKey::new(t, &sib.probe_pos);
                                 if let Some(sp) = store.get(&probe) {
-                                    let prod = p.mul(sp);
+                                    let prod = sib.times(p, sp);
                                     if !prod.is_zero() {
                                         buf.push((t.clone(), prod));
                                     }
@@ -1664,7 +1827,7 @@ impl<R: Ring> IvmEngine<R> {
                             for (t, p) in input_buf {
                                 let probe = ProjKey::new(t, &sib.probe_pos);
                                 for (full, sp) in store.probe(sib.index_id, &probe) {
-                                    let prod = p.mul(sp);
+                                    let prod = sib.times(p, sp);
                                     if !prod.is_zero() {
                                         buf.push((t.concat_projected(full, &sib.rest_pos), prod));
                                     }
@@ -1680,7 +1843,7 @@ impl<R: Ring> IvmEngine<R> {
                             for (t, p) in input_buf {
                                 let probe = ProjKey::new(t, &sib.probe_pos);
                                 if let Some(sp) = store.get(&probe) {
-                                    let mut prod = p.mul(sp);
+                                    let mut prod = sib.times(p, sp);
                                     for (pos, lifting) in &f.lifts {
                                         prod = prod.mul(&lifting.lift(t.get(*pos)));
                                     }
@@ -1693,7 +1856,7 @@ impl<R: Ring> IvmEngine<R> {
                             for (t, p) in input_buf {
                                 let probe = ProjKey::new(t, &sib.probe_pos);
                                 for (full, sp) in store.probe(sib.index_id, &probe) {
-                                    let mut prod = p.mul(sp);
+                                    let mut prod = sib.times(p, sp);
                                     if prod.is_zero() {
                                         continue;
                                     }
@@ -1849,11 +2012,13 @@ impl<R: Ring> IvmEngine<R> {
             if sharing.is_empty() {
                 // Cartesian contribution: keep the sibling as its own
                 // factor (never multiplied out unless a store needs it).
-                let rel = self.views[s]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("sibling view {s} not materialized"))
-                    .to_relation();
-                factors.push(rel);
+                let (node, unit) = self.store_node(s);
+                let rel = sibling_view(&self.views, node).to_relation();
+                factors.push(if unit {
+                    rel.map_payloads(|_, _| R::one())
+                } else {
+                    rel
+                });
                 continue;
             }
             // merge the sharing factors (pairwise disjoint ⇒ products)
@@ -1886,30 +2051,35 @@ impl<R: Ring> IvmEngine<R> {
     /// Join `acc ⊗ view(s)` by probing the sibling's store with
     /// borrowed keys (no per-probe tuple materialization).
     fn join_with_view(&mut self, acc: &Relation<R>, s: NodeId) -> Relation<R> {
+        let (node, unit) = self.store_node(s);
         let sib_schema = self.tree.nodes[s].keys.clone();
         let common = acc.schema().intersect(&sib_schema);
         let acc_probe = acc.schema().positions_of(common.vars()).expect("subset");
         let rest_vars = sib_schema.minus(&common);
         let out_schema = acc.schema().union(&sib_schema);
+        // A sibling payload as it enters the product: `one` for an
+        // aliased indicator, then the pre-projection.
+        let pp = self.payload_preproject.clone();
+        let one = R::one();
+        let read = move |sp: &R| -> R {
+            let sp = if unit { &one } else { sp };
+            match &pp {
+                Some(pp) => pp(sp),
+                None => sp.clone(),
+            }
+        };
 
         if common.len() == sib_schema.len() {
             // full-key probe: primary lookup, in the sibling's column
             // order (compose the two projections into one).
-            let store = self.views[s]
-                .as_ref()
-                .unwrap_or_else(|| panic!("sibling view {s} not materialized"));
+            let store = sibling_view(&self.views, node);
             let reorder = common.positions_of(store.schema().vars()).expect("perm");
             let composed: Vec<usize> = reorder.iter().map(|&i| acc_probe[i]).collect();
-            let pp = self.payload_preproject.clone();
             let mut out = Relation::new(out_schema);
             for (t, p) in acc.iter() {
                 let probe = ProjKey::new(t, &composed);
                 if let Some(sp) = store.get(&probe) {
-                    let sp = match &pp {
-                        Some(pp) => pp(sp),
-                        None => sp.clone(),
-                    };
-                    out.insert(t.clone(), p.mul(&sp));
+                    out.insert(t.clone(), p.mul(&read(sp)));
                 }
             }
             return out;
@@ -1917,25 +2087,20 @@ impl<R: Ring> IvmEngine<R> {
 
         // partial-key probe: secondary index (created on demand, then
         // maintained incrementally)
-        let ix = self.views[s]
+        let ix = self.views[node]
             .as_mut()
-            .unwrap_or_else(|| panic!("sibling view {s} not materialized"))
+            .unwrap_or_else(|| panic!("sibling view {node} not materialized"))
             .ensure_index(&common);
-        let store = self.views[s].as_ref().expect("just accessed");
+        let store = sibling_view(&self.views, node);
         let rest_pos = store
             .schema()
             .positions_of(rest_vars.vars())
             .expect("subset");
-        let pp = self.payload_preproject.clone();
         let mut out = Relation::new(out_schema);
         for (t, p) in acc.iter() {
             let probe = ProjKey::new(t, &acc_probe);
             for (full, sp) in store.probe(ix, &probe) {
-                let sp = match &pp {
-                    Some(pp) => pp(sp),
-                    None => sp.clone(),
-                };
-                out.insert(t.concat_projected(full, &rest_pos), p.mul(&sp));
+                out.insert(t.concat_projected(full, &rest_pos), p.mul(&read(sp)));
             }
         }
         out
@@ -2046,6 +2211,93 @@ fn support_transition<K: TupleKey>(
         (0, 1) => 1,
         (1, 0) => -1,
         _ => 0,
+    }
+}
+
+/// The store of a sibling the plan probes.
+#[inline]
+fn sibling_view<R>(views: &[Option<ViewStore<R>>], node: NodeId) -> &ViewStore<R> {
+    views[node]
+        .as_ref()
+        .unwrap_or_else(|| panic!("sibling view {node} not materialized"))
+}
+
+/// Join delta tuple `(t, p)` through a step with a swapped order (module
+/// docs, "Sibling order"): look up both candidate index buckets, skip
+/// the tuple if either is empty, iterate the smaller (`step`'s compiled
+/// order wins ties) and point-probe the other sibling. Each joined pair
+/// is multiplied, lifted and handed to `emit` under its output key.
+/// Returns whether the swapped order ran, or `None` for a skipped tuple.
+fn join_two<R: Ring>(
+    step: &FastStep<R>,
+    swapped: &FastStep<R>,
+    views: &[Option<ViewStore<R>>],
+    t: &Tuple,
+    p: &R,
+    emit: &mut impl FnMut(&ProjKey<'_>, R),
+) -> Option<bool> {
+    let (first, second) = (&step.siblings[0], &swapped.siblings[0]);
+    debug_assert_eq!(first.node, swapped.siblings[1].node);
+    debug_assert_eq!(second.node, step.siblings[1].node);
+    let (first_view, second_view) = (
+        sibling_view(views, first.node),
+        sibling_view(views, second.node),
+    );
+    let first_bucket = first_view.probe(first.index_id, &ProjKey::new(t, &first.probe_pos));
+    if first_bucket.len() == 0 {
+        return None;
+    }
+    let second_bucket = second_view.probe(second.index_id, &ProjKey::new(t, &second.probe_pos));
+    if second_bucket.len() == 0 {
+        return None;
+    }
+    let swap = second_bucket.len() < first_bucket.len();
+    if swap {
+        let probe_pos = &swapped.siblings[1].probe_pos;
+        for (key, hit) in second_bucket {
+            let joined = t.concat_projected(key, &second.rest_pos);
+            if let Some(other) = first_view.get(&ProjKey::new(&joined, probe_pos)) {
+                emit_lifted(swapped, &joined, p, (first, other), (second, hit), emit);
+            }
+        }
+    } else {
+        let probe_pos = &step.siblings[1].probe_pos;
+        for (key, hit) in first_bucket {
+            let joined = t.concat_projected(key, &first.rest_pos);
+            if let Some(other) = second_view.get(&ProjKey::new(&joined, probe_pos)) {
+                emit_lifted(step, &joined, p, (first, hit), (second, other), emit);
+            }
+        }
+    }
+    Some(swap)
+}
+
+/// `p ⊗ a ⊗ b`, each factor a sibling and its probe hit, then the
+/// margin lifts of `order` over its joined tuple — the order the
+/// single-order path multiplies in — emitted under the output key
+/// unless it vanishes.
+#[inline]
+fn emit_lifted<R: Ring>(
+    order: &FastStep<R>,
+    joined: &Tuple,
+    p: &R,
+    (sa, a): (&FastSibling, &R),
+    (sb, b): (&FastSibling, &R),
+    emit: &mut impl FnMut(&ProjKey<'_>, R),
+) {
+    let mut prod = sa.times(p, a);
+    if prod.is_zero() {
+        return;
+    }
+    prod = sb.times(&prod, b);
+    if prod.is_zero() {
+        return;
+    }
+    for (pos, lifting) in &order.lifts {
+        prod = prod.mul(&lifting.lift(joined.get(*pos)));
+    }
+    if !prod.is_zero() {
+        emit(&ProjKey::new(joined, &order.out_pos), prod);
     }
 }
 
@@ -2602,21 +2854,169 @@ mod tests {
         }
     }
 
-    /// Sanity: single-tuple updates on the running query go through the
-    /// fast path (the general path is only entered when forced).
-    #[test]
-    fn fast_plans_compile_for_benchmark_shapes() {
-        // Star join (fig11 shape).
-        let (q, tree, _, lifts) = fig2_setup(&[]);
-        let engine = IvmEngine::new(q, tree, &[0, 1, 2], lifts);
-        assert!(engine.rel_fast.iter().all(Option::is_some));
-        // Triangle with indicators (fig13 shape).
+    /// The triangle count over `A - B - C` with its indicator ∃R(A,B),
+    /// on the sequential path.
+    fn triangle_engine() -> IvmEngine<i64> {
         let q = QueryDef::triangle();
         let vo = VariableOrder::parse("A - B - C", &q.catalog);
         let mut tree = ViewTree::build(&q, &vo);
         fivm_query::add_indicators(&mut tree, &q);
-        let engine: IvmEngine<i64> = IvmEngine::new(q, tree, &[0, 1, 2], LiftingMap::new());
+        let mut engine = IvmEngine::new(q, tree, &[0, 1, 2], LiftingMap::new());
+        engine.set_workers(1);
+        engine
+    }
+
+    /// Apply the edge update `rel(x, y) → m` to every engine.
+    fn apply_edge(engines: &mut [&mut IvmEngine<i64>], rel: usize, x: i64, y: i64, m: i64) {
+        for e in engines.iter_mut() {
+            let schema = e.query.relations[rel].schema.clone();
+            e.apply(
+                rel,
+                &Delta::Flat(Relation::from_pairs(schema, [(tuple![x, y], m)])),
+            );
+        }
+    }
+
+    /// `(two-sibling steps, of which swappable)` over every compiled
+    /// fast plan.
+    fn two_sibling_steps(engine: &IvmEngine<i64>) -> (usize, usize) {
+        let ind = engine.ind_plans.values().filter_map(|p| p.fast.as_ref());
+        engine
+            .rel_fast
+            .iter()
+            .flatten()
+            .chain(ind)
+            .flat_map(|p| p.steps.iter())
+            .filter(|s| s.siblings.len() == 2)
+            .fold((0, 0), |(n, swapped), s| {
+                (n + 1, swapped + usize::from(s.swapped.is_some()))
+            })
+    }
+
+    /// Sanity: single-tuple updates on the running query go through the
+    /// fast path (the general path is only entered when forced).
+    #[test]
+    fn fast_plans_compile_for_benchmark_shapes() {
+        // Star join (fig11 shape): no step probes two siblings by index.
+        let (q, tree, _, lifts) = fig2_setup(&[]);
+        let engine = IvmEngine::new(q, tree, &[0, 1, 2], lifts);
+        assert!(engine.rel_fast.iter().all(Option::is_some));
+        assert_eq!(two_sibling_steps(&engine).1, 0);
+        // Triangle with indicators (fig13 shape): the S, T and ∃R steps
+        // at C each have a swapped order, and ∃R(A,B) reads R's leaf
+        // store, so five views are stored, not six.
+        let engine = triangle_engine();
         assert!(engine.rel_fast.iter().all(Option::is_some));
         assert!(engine.ind_plans.values().all(|p| p.fast.is_some()));
+        assert_eq!(two_sibling_steps(&engine), (3, 3));
+        assert_eq!(engine.stored_view_count(), 5);
+    }
+
+    /// Per tuple, a two-order step iterates the smaller candidate
+    /// bucket. `S(7,100)` against a hub `c = 100` with 50 T-edges and a
+    /// `b = 7` with one R-edge runs the swapped order (R by B, then T by
+    /// (C,A)); the mirror (a hub `b` with 50 R-edges, a `c` with one
+    /// T-edge) and a one-to-one tie run the compiled order. Every view
+    /// matches the general path throughout, deletes included.
+    #[test]
+    fn smaller_bucket_picks_the_sibling_order() {
+        /// Apply `rel(x, y) → m` to the fast engine and the general-path
+        /// foil, compare every view, and return the order runs added.
+        fn run(e: &mut [IvmEngine<i64>; 2], rel: usize, x: i64, y: i64, m: i64) -> [u64; 2] {
+            let before = e[0].order_runs;
+            let [fast, general] = e;
+            apply_edge(&mut [fast, general], rel, x, y, m);
+            for node in 0..e[0].node_count() {
+                assert_eq!(
+                    e[0].view_relation(node).map(|r| r.sorted()),
+                    e[1].view_relation(node).map(|r| r.sorted()),
+                    "view {node} after {rel}({x},{y}) → {m}"
+                );
+            }
+            let after = e[0].order_runs;
+            [after[0] - before[0], after[1] - before[1]]
+        }
+        let mut e = [triangle_engine(), triangle_engine()];
+        e[1].set_fast_path(false);
+        // Hub on the T side: only the closing S-edge finds both buckets
+        // non-empty.
+        for a in 0..50 {
+            assert_eq!(run(&mut e, 2, 100, a, 1), [0, 0]);
+        }
+        assert_eq!(run(&mut e, 0, 0, 7, 1), [0, 0]);
+        assert_eq!(run(&mut e, 1, 7, 100, 1), [0, 1], "1 R-edge < 50 T-edges");
+        // Hub on the R side.
+        for a in 0..50 {
+            assert_eq!(run(&mut e, 0, a, 8, 1), [0, 0]);
+        }
+        assert_eq!(run(&mut e, 2, 200, 0, 1), [0, 0]);
+        assert_eq!(run(&mut e, 1, 8, 200, 1), [1, 0], "1 T-edge < 50 R-edges");
+        // A tie keeps the compiled order.
+        assert_eq!(run(&mut e, 0, 300, 9, 1), [0, 0]);
+        assert_eq!(run(&mut e, 2, 400, 300, 1), [0, 0]);
+        assert_eq!(run(&mut e, 1, 9, 400, 1), [1, 0], "1 T-edge = 1 R-edge");
+        assert_eq!(e[0].result().payload(&Tuple::unit()), 3);
+        // Deletes that empty the small buckets, then the closing edges.
+        run(&mut e, 0, 0, 7, -1);
+        run(&mut e, 2, 200, 0, -1);
+        assert_eq!(run(&mut e, 1, 7, 100, -1), [0, 0], "R(·,7) is empty");
+        assert_eq!(run(&mut e, 1, 8, 200, -1), [0, 0], "T(200,·) is empty");
+        assert_eq!(e[0].result().payload(&Tuple::unit()), 1);
+    }
+
+    /// `restore_views` skips a snapshot of the aliased ∃R(A,B), which
+    /// checkpoints cut before the alias carry, and the restored engine
+    /// then matches a fresh engine over the same updates.
+    #[test]
+    fn restore_skips_aliased_indicator_snapshot() {
+        let before: [(usize, i64, i64, i64); 6] = [
+            (0, 1, 1, 1),
+            (0, 1, 1, 1), // multiplicity 2: the indicator still reads 1
+            (1, 1, 2, 1),
+            (2, 2, 1, 1),
+            (0, 3, 1, 1),
+            (2, 2, 3, 1),
+        ];
+        let after: [(usize, i64, i64, i64); 5] = [
+            (0, 1, 1, -1),
+            (1, 1, 4, 1),
+            (2, 4, 3, 1),
+            (0, 1, 1, -1), // support disappears
+            (0, 5, 1, 1),
+        ];
+        let mut live = triangle_engine();
+        for &(rel, x, y, m) in &before {
+            apply_edge(&mut [&mut live], rel, x, y, m);
+        }
+        let ind = (0..live.node_count())
+            .find(|&n| matches!(live.tree().nodes[n].kind, NodeKind::Indicator { .. }))
+            .expect("the triangle has an indicator");
+        assert!(live.view_relation(ind).is_none(), "∃R(A,B) is aliased");
+        let mut snapshots: Vec<(NodeId, Relation<i64>)> = live
+            .materialized_nodes()
+            .into_iter()
+            .map(|n| (n, live.view_relation(n).expect("materialized")))
+            .collect();
+        let leaf = live.tree().leaf_of(0).expect("R has a leaf");
+        let indicator = live.view_relation(leaf).expect("R's leaf is stored");
+        snapshots.push((ind, indicator.map_payloads(|_, _| 1)));
+
+        let mut restored = triangle_engine();
+        restored.restore_views(&snapshots, live.updates_applied());
+        let mut fresh = triangle_engine();
+        for &(rel, x, y, m) in &before {
+            apply_edge(&mut [&mut fresh], rel, x, y, m);
+        }
+        for &(rel, x, y, m) in &after {
+            apply_edge(&mut [&mut restored, &mut fresh], rel, x, y, m);
+        }
+        for node in 0..fresh.node_count() {
+            assert_eq!(
+                restored.view_relation(node).map(|r| r.sorted()),
+                fresh.view_relation(node).map(|r| r.sorted()),
+                "view {node}"
+            );
+        }
+        assert_eq!(restored.updates_applied(), fresh.updates_applied());
     }
 }

@@ -4,7 +4,9 @@
 //! symbolic re-simulation over schemas that proves the compiled
 //! positions (probe keys, index ids, rest columns, margin lifts, store
 //! projections, factor slots, worker ranges) are consistent *before*
-//! the first tuple flows through them.
+//! the first tuple flows through them. A step with two compiled sibling
+//! orders is checked in each, and a probe of an aliased indicator names
+//! the leaf store it actually reads.
 //!
 //! Wiring:
 //!
@@ -94,22 +96,50 @@ fn factored_step_ir<R>(st: &FactoredStep<R>) -> FactoredStepIr {
     }
 }
 
-/// Export a compiled flat-delta plan as the neutral IR.
-pub(super) fn fast_plan_ir<R>(p: &FastPlan<R>) -> FastPlanIr {
+/// Export a compiled flat-delta plan as the neutral IR, with step
+/// `swapped` (if any) taking its swapped sibling order — each order a
+/// step can run is exported as its own [`FastStepIr`].
+fn fast_plan_ir<R>(p: &FastPlan<R>, swapped: Option<usize>) -> FastPlanIr {
     FastPlanIr {
         entry: p.entry,
         entry_schema: schema_vars(&p.entry_schema),
         steps: p
             .steps
             .iter()
-            .map(|st| FastStepIr {
-                node: st.node,
-                store: st.store,
-                siblings: st.siblings.iter().map(sibling_ir).collect(),
-                lift_pos: st.lifts.iter().map(|&(pos, _)| pos).collect(),
-                out_pos: st.out_pos.to_vec(),
+            .enumerate()
+            .map(|(i, st)| {
+                let st = match &st.swapped {
+                    Some(sw) if swapped == Some(i) => sw,
+                    _ => st,
+                };
+                FastStepIr {
+                    node: st.node,
+                    store: st.store,
+                    siblings: st.siblings.iter().map(sibling_ir).collect(),
+                    lift_pos: st.lifts.iter().map(|&(pos, _)| pos).collect(),
+                    out_pos: st.out_pos.to_vec(),
+                }
             })
             .collect(),
+    }
+}
+
+/// Verify a compiled flat-delta plan in its compiled order and, per
+/// step with a swapped order, with that step swapped.
+fn verify_fast<R>(ctx: &PlanCtx, label: &str, p: &FastPlan<R>, findings: &mut Vec<Finding>) {
+    labeled(
+        findings,
+        label,
+        plan_ir::verify_fast_plan(ctx, &fast_plan_ir(p, None)),
+    );
+    for (i, step) in p.steps.iter().enumerate() {
+        if step.swapped.is_some() {
+            labeled(
+                findings,
+                &format!("{label} (step {i} swapped)"),
+                plan_ir::verify_fast_plan(ctx, &fast_plan_ir(p, Some(i))),
+            );
+        }
     }
 }
 
@@ -188,21 +218,16 @@ impl<R: Ring> IvmEngine<R> {
         let mut findings = Vec::new();
         for (r, plan) in self.rel_fast.iter().enumerate() {
             if let Some(p) = plan {
-                let label = format!("relation {r} fast plan");
-                labeled(
-                    &mut findings,
-                    &label,
-                    plan_ir::verify_fast_plan(&ctx, &fast_plan_ir(p)),
-                );
+                verify_fast(&ctx, &format!("relation {r} fast plan"), p, &mut findings);
             }
         }
         for (&ind, ip) in &self.ind_plans {
             if let Some(p) = &ip.fast {
-                let label = format!("indicator {ind} fast plan");
-                labeled(
+                verify_fast(
+                    &ctx,
+                    &format!("indicator {ind} fast plan"),
+                    p,
                     &mut findings,
-                    &label,
-                    plan_ir::verify_fast_plan(&ctx, &fast_plan_ir(p)),
                 );
             }
         }

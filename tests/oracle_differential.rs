@@ -20,6 +20,8 @@ mod support;
 
 use fivm::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use support::{
     batch_specs, canon_engine_result, oracle_eval, run_schedule, run_schedule_sym, OracleDb,
@@ -68,15 +70,25 @@ proptest! {
 
     /// Triangle COUNT with indicator projections (Appendix B): the
     /// cyclic query exercises indicator support counting under batch
-    /// deletes.
+    /// deletes. A second input replays one hub-skewed shape (see
+    /// [`HUB_SHAPES`]) at batch sizes 1, 32, 300 and 1500, so the
+    /// executor's two sibling orders both run, on both engines.
     #[test]
-    fn triangle_with_indicators_matches_oracle(specs in batch_specs(11, 6)) {
+    fn triangle_with_indicators_matches_oracle(
+        specs in batch_specs(11, 6),
+        hub in (0usize..HUB_SHAPES.len(), 0u64..u64::MAX),
+    ) {
+        let (shape, seed) = hub;
         let q = QueryDef::triangle();
         let vo = VariableOrder::parse("A - B - C", &q.catalog);
         let mut tree = ViewTree::build(&q, &vo);
         add_indicators(&mut tree, &q);
         let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
         run_schedule(&q, &mut engines, &specs, &[])?;
+        for batch in [1, 32, 300, 1500] {
+            let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
+            run_hub_schedule(&q, &mut engines, HUB_SHAPES[shape], batch, seed)?;
+        }
     }
 
     /// COUNT over the star join with **string join keys**: A and C —
@@ -129,6 +141,129 @@ proptest! {
         let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
         run_schedule_sym(&q, &mut engines, &specs, &[], &vars)?;
     }
+}
+
+/// Hub-skewed triangle shapes, named by the variables that have a hub
+/// node: a step of the triangle plan joins two siblings through index
+/// buckets on these variables, and iterates the smaller bucket per
+/// tuple (executor docs, "Sibling order"). A hub on C makes the S and T
+/// steps start from R; a hub on B alone makes them keep their compiled
+/// order; hubs on every variable mix both. The empty shape is the tie
+/// case: every relation is a complete graph, so equal-length buckets
+/// keep the compiled order.
+const HUB_SHAPES: [&[&str]; 4] = [&["C"], &["B"], &["A", "B", "C"], &[]];
+
+/// Insert a hub-skewed edge list into R, S and T, round-robin in
+/// batches of `batch`, then delete every edge again in shuffled batches
+/// — emptying the hub buckets last or first by chance — checking every
+/// engine against the oracle after each batch and for emptiness at the
+/// end.
+fn run_hub_schedule(
+    q: &QueryDef,
+    engines: &mut [IvmEngine<i64>],
+    hubs: &[&str],
+    batch: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ batch as u64);
+    // Enough edges for two full batches; 1500 reaches the worker pool.
+    let edges = (2 * batch).clamp(40, 1500);
+    let hub_of: Vec<Option<i64>> = (0..3)
+        .map(|v| {
+            hubs.iter()
+                .position(|h| q.catalog.lookup(h) == Some(v))
+                .map(|i| i as i64)
+        })
+        .collect();
+    let mut rows: Vec<Vec<Vec<i64>>> = Vec::new();
+    for rel in &q.relations {
+        let mut list = Vec::with_capacity(edges);
+        if hubs.is_empty() {
+            let k = (2..).find(|k| k * (k - 1) >= edges as i64).expect("finite");
+            for x in 0..k {
+                list.extend((0..k).filter(|&y| y != x).map(|y| vec![x, y]));
+            }
+        } else {
+            for _ in 0..edges {
+                let row = rel
+                    .schema
+                    .iter()
+                    .map(|&v| match hub_of[v as usize] {
+                        Some(h) if rng.gen_bool(0.25) => h,
+                        _ => rng.gen_range(10..400),
+                    })
+                    .collect();
+                list.push(row);
+            }
+        }
+        rows.push(list);
+    }
+    let mut db: OracleDb = q.relations.iter().map(|_| HashMap::new()).collect();
+    for sign in [1i64, -1] {
+        if sign < 0 {
+            for list in &mut rows {
+                for i in (1..list.len()).rev() {
+                    list.swap(i, rng.gen_range(0..=i));
+                }
+            }
+        }
+        let chunks = rows
+            .iter()
+            .map(|l| l.len().div_ceil(batch))
+            .max()
+            .unwrap_or(0);
+        for c in 0..chunks {
+            for (rel, list) in rows.iter().enumerate() {
+                let part = &list[(c * batch).min(list.len())..((c + 1) * batch).min(list.len())];
+                if part.is_empty() {
+                    continue;
+                }
+                for row in part {
+                    let m = db[rel].entry(row.clone()).or_insert(0);
+                    *m += sign;
+                    if *m == 0 {
+                        db[rel].remove(row);
+                    }
+                }
+                let delta = Relation::from_pairs(
+                    q.relations[rel].schema.clone(),
+                    part.iter().map(|row| {
+                        (
+                            Tuple::new(row.iter().map(|&v| Value::Int(v)).collect()),
+                            sign,
+                        )
+                    }),
+                );
+                for engine in engines.iter_mut() {
+                    engine.apply(rel, &Delta::Flat(delta.clone()));
+                }
+                let expected = oracle_eval(q, &db, &[]);
+                for (e, engine) in engines.iter().enumerate() {
+                    prop_assert_eq!(
+                        &canon_engine_result(q, &engine.result()),
+                        &expected,
+                        "engine {} ({} workers), hubs {:?}, batch {}, chunk {} of rel {}",
+                        e,
+                        engine.workers(),
+                        hubs,
+                        batch,
+                        c,
+                        rel
+                    );
+                }
+            }
+        }
+    }
+    for engine in engines.iter() {
+        prop_assert_eq!(
+            engine.total_entries(),
+            0,
+            "hubs {:?}, batch {}",
+            hubs,
+            batch
+        );
+    }
+    Ok(())
 }
 
 /// Deterministic worst-case shapes the random driver may miss: a

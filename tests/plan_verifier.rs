@@ -1,7 +1,8 @@
 //! Static plan-IR verification at the facade level: every plan the
 //! engine compiles for the paper's query shapes (star COUNT, star
-//! group-by with liftings, triangle with indicator views, sequential
-//! and parallel variants, flat and factored paths) must come back from
+//! group-by with liftings, triangle with indicator views and both
+//! sibling orders of its two-sibling steps, sequential and parallel
+//! variants, flat and factored paths) must come back from
 //! [`IvmEngine::verify_plans`] with zero findings — and hand-broken
 //! IRs must not. The unit tests inside `fivm-check` cover each rule in
 //! isolation; this suite pins down the end-to-end contract that the
@@ -263,6 +264,62 @@ fn full_key_probe_with_rest_columns_is_rejected() {
     assert!(
         r.contains(&"full-key-rest") && r.contains(&"probe-arity"),
         "expected full-key-rest + probe-arity, got {findings:?}"
+    );
+}
+
+/// The swapped order of the triangle's S step, as the engine exports
+/// it: delta S(b, c) probes R(a, b) — the store behind the aliased
+/// indicator ∃R(A,B) — through its index on b, appends a, then probes
+/// T(c, a) by full key and stores V(a, b).
+fn swapped_triangle_step() -> (PlanCtx, FastPlanIr) {
+    let (a, b, c) = (0, 1, 2);
+    let ctx = PlanCtx {
+        // 0: S leaf, 1: T, 2: R leaf (indexed on b), 3: V at C.
+        node_keys: vec![vec![b, c], vec![c, a], vec![a, b], vec![a, b]],
+        materialized: vec![true, true, true, true],
+        node_indexes: vec![vec![], vec![], vec![vec![1]], vec![]],
+    };
+    let plan = FastPlanIr {
+        entry: 0,
+        entry_schema: vec![b, c],
+        steps: vec![FastStepIr {
+            node: 3,
+            store: true,
+            siblings: vec![
+                SiblingIr {
+                    node: 2,
+                    full_key: false,
+                    probe_pos: vec![0],
+                    rest_pos: vec![0],
+                    index_id: 0,
+                },
+                // joined = [b, c, a]; T's key is (c, a).
+                SiblingIr {
+                    node: 1,
+                    full_key: true,
+                    probe_pos: vec![1, 2],
+                    rest_pos: vec![],
+                    index_id: FULL_KEY,
+                },
+            ],
+            lift_pos: vec![],
+            out_pos: vec![2, 0],
+        }],
+    };
+    (ctx, plan)
+}
+
+#[test]
+fn swapped_step_with_broken_full_key_probe_is_rejected() {
+    let (ctx, mut plan) = swapped_triangle_step();
+    let findings = verify_fast_plan(&ctx, &plan);
+    assert!(findings.is_empty(), "unexpected findings: {findings:?}");
+    // Probe T with (a, c) where its key is (c, a).
+    plan.steps[0].siblings[1].probe_pos = vec![2, 1];
+    let findings = verify_fast_plan(&ctx, &plan);
+    assert!(
+        rules(&findings).contains(&"probe-key-order"),
+        "expected probe-key-order, got {findings:?}"
     );
 }
 

@@ -202,9 +202,13 @@ fn single_tuple_phase() {
 /// update. Each cycle deletes resident edges and re-inserts them, and
 /// inserts then deletes a fresh triangle, so leaf and indicator keys go
 /// through support transitions: every delete frees an entry id and an
-/// index-bucket slot that the following insert must reuse. After
-/// warm-up the cycles allocate nothing — entry cells come back off the
-/// free list and emptied buckets are kept for the returning keys.
+/// index-bucket slot that the following insert must reuse. Two hubs make
+/// both sibling orders of the S step run: S-edges into a `c` with 40
+/// T-edges iterate the one-edge R bucket instead, and S-edges out of a
+/// `b` with 40 R-edges keep the compiled order over a one-edge T
+/// bucket. After warm-up the cycles allocate nothing — entry cells come
+/// back off the free list and emptied buckets are kept for the
+/// returning keys.
 fn triangle_phase() {
     let q = QueryDef::triangle();
     let vo = VariableOrder::parse("A - B - C", &q.catalog);
@@ -231,6 +235,18 @@ fn triangle_phase() {
             }
         }
     }
+    // Hub c = 20 with 40 T-edges against b = 30 with one R-edge, and
+    // hub b = 40 with 40 R-edges against c = 50 with one T-edge.
+    for a in 100..140 {
+        let (rel, d) = edge(2, 20, a, 1);
+        engine.apply(rel, &d);
+        let (rel, d) = edge(0, a + 100, 40, 1);
+        engine.apply(rel, &d);
+    }
+    for (rel, a, b) in [(0, 100, 30), (2, 50, 200)] {
+        let (rel, d) = edge(rel, a, b, 1);
+        engine.apply(rel, &d);
+    }
     let result_before = engine.result();
     assert!(
         !result_before.is_empty(),
@@ -255,6 +271,12 @@ fn triangle_phase() {
         // Payload toggle without a support transition.
         edge(0, 4, 5, 1),
         edge(0, 4, 5, -1),
+        // Close and reopen the hub triangles (100, 30, 20), swapped
+        // order, and (200, 40, 50), compiled order.
+        edge(1, 30, 20, 1),
+        edge(1, 30, 20, -1),
+        edge(1, 40, 50, 1),
+        edge(1, 40, 50, -1),
     ];
     for _ in 0..2 {
         for (rel, d) in &cycle {
