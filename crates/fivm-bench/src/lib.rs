@@ -357,11 +357,6 @@ pub fn run_stream(m: &mut dyn Maintainer, batches: &[Batch], budget: Budget) -> 
     }
 }
 
-/// Pretty seconds.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,13 +71,6 @@ impl<R: Semiring> Relation<R> {
         self.data.get(t)
     }
 
-    /// The payload under a (possibly borrowed) probe key — e.g. a
-    /// [`crate::ProjKey`] projecting a tuple the caller already holds —
-    /// without materializing the key.
-    pub fn get_by<K: TupleKey + ?Sized>(&self, key: &K) -> Option<&R> {
-        self.data.get(key)
-    }
-
     /// The payload of `t`, or the ring zero.
     pub fn payload(&self, t: &Tuple) -> R {
         self.data.get(t).cloned().unwrap_or_else(R::zero)
@@ -170,7 +163,7 @@ impl<R: Semiring> Relation<R> {
 
         // Probe the smaller side … but payload multiplication is ordered
         // (non-commutative rings), so always produce left*right.
-        let mut index: FxHashMap<Tuple, Vec<(&Tuple, &R)>> = FxHashMap::default();
+        let mut index: Index<'_, R> = FxHashMap::default();
         for (t, p) in other.data.iter() {
             index
                 .entry(t.project(&right_common))
@@ -191,22 +184,7 @@ impl<R: Semiring> Relation<R> {
     /// Aggregation `⊕X`: marginalizes variable `x` out of the schema,
     /// summing `payload * g_X(x-value)` per remaining key (paper §2).
     pub fn marginalize(&self, x: VarId, lifting: &Lifting<R>) -> Relation<R> {
-        let pos = self
-            .schema
-            .position(x)
-            .expect("marginalized variable not in schema");
-        let rest_vars = self.schema.without(x);
-        let rest_pos = self.schema.positions_of(rest_vars.vars()).unwrap();
-        let mut out = Relation::new(rest_vars);
-        for (t, p) in self.data.iter() {
-            let lifted = if lifting.is_one() {
-                p.clone()
-            } else {
-                p.mul(&lifting.lift(t.get(pos)))
-            };
-            out.insert(t.project(&rest_pos), lifted);
-        }
-        out
+        self.marginalize_many(&[(x, lifting.clone())])
     }
 
     /// Marginalize several variables at once (the composed-chain views of
@@ -232,6 +210,67 @@ impl<R: Semiring> Relation<R> {
             out.insert(t.project(&rest_pos), lifted);
         }
         out
+    }
+
+    /// Streaming join-aggregate `⊕_margins(c₀ ⊗ c₁ ⊗ … ⊗ c_k)` keyed by
+    /// `out`: the fold `c₀.join(c₁)….join(c_k).marginalize_many(margins)
+    /// .reorder(out)` without materializing the join.
+    ///
+    /// Each `cᵢ` is indexed on the variables it shares with `c₀ … cᵢ₋₁`.
+    /// A depth-first walk then visits the join results in the fold's
+    /// order, multiplies payloads as `((p₀·p₁)·…)·p_k`, applies the
+    /// margins' liftings in margin order and ⊕-inserts under the output
+    /// key. A zero partial product prunes its subtree, as the fold drops
+    /// zero join keys. So the result, and per output key the summation
+    /// order, equal the fold's in every ring, `f64` and non-commutative
+    /// payloads included. Time is proportional to the join results
+    /// enumerated; space is the output plus one index per child.
+    ///
+    /// No children is the empty join `{() → 1}`. `out` and the margin
+    /// variables must partition the children's variables.
+    pub fn join_aggregate(
+        children: &[&Relation<R>],
+        margins: &[(VarId, Lifting<R>)],
+        out: &Schema,
+    ) -> Relation<R> {
+        let src = |v: VarId| -> Src {
+            children
+                .iter()
+                .enumerate()
+                .find_map(|(i, c)| Some((i, c.schema.position(v)?)))
+                .unwrap_or_else(|| panic!("variable {v} is not in the join"))
+        };
+        let mut joined = Schema::empty();
+        let mut steps = Vec::with_capacity(children.len());
+        for c in children {
+            let shared = joined.intersect(&c.schema);
+            let key = c.schema.positions_of(shared.vars()).unwrap();
+            let mut index: Index<'_, R> = FxHashMap::default();
+            for (t, p) in c.data.iter() {
+                index.entry(t.project(&key)).or_default().push((t, p));
+            }
+            steps.push((shared.iter().map(|&v| src(v)).collect(), index));
+            joined = joined.union(&c.schema);
+        }
+        assert!(
+            out.len() + margins.len() == joined.len()
+                && margins
+                    .iter()
+                    .all(|(v, _)| joined.contains(*v) && !out.contains(*v)),
+            "output and margin variables must partition the joined schema"
+        );
+        let walk = JoinWalk {
+            steps,
+            out_src: out.iter().map(|&v| src(v)).collect(),
+            lifts: margins
+                .iter()
+                .filter(|(_, l)| !l.is_one())
+                .map(|(v, l)| (l, src(*v)))
+                .collect(),
+        };
+        let mut result = Relation::new(out.clone());
+        walk.descend(&mut Vec::with_capacity(children.len()), None, &mut result);
+        result
     }
 
     /// Reorder columns to `target` (a permutation of this schema).
@@ -268,6 +307,52 @@ impl<R: Semiring> Relation<R> {
             .sum::<usize>()
             + std::mem::size_of::<Self>()
     }
+}
+
+/// Where a join binding holds a variable's value: (child, position).
+type Src = (usize, usize);
+
+/// A relation's entries grouped by a projection of their keys.
+type Index<'a, R> = FxHashMap<Tuple, Vec<(&'a Tuple, &'a R)>>;
+
+/// The depth-first walk of [`Relation::join_aggregate`].
+struct JoinWalk<'a, R> {
+    /// Per child: where the binding holds the variables it shares with
+    /// the children before it, and its index on those variables.
+    steps: Vec<(Vec<Src>, Index<'a, R>)>,
+    out_src: Vec<Src>,
+    /// The margins with non-trivial liftings, in margin order.
+    lifts: Vec<(&'a Lifting<R>, Src)>,
+}
+
+impl<'a, R: Semiring> JoinWalk<'a, R> {
+    /// Extend `binding` (one tuple per child so far, whose payloads
+    /// multiply to `prod`; `None` before the first child) by each
+    /// matching tuple of the next child, and ⊕-insert every complete
+    /// binding's lifted product into `out`.
+    fn descend(&self, binding: &mut Vec<&'a Tuple>, prod: Option<R>, out: &mut Relation<R>) {
+        let Some((probe, index)) = self.steps.get(binding.len()) else {
+            let mut lifted = prod.unwrap_or_else(R::one);
+            for &(l, (c, p)) in &self.lifts {
+                lifted = lifted.mul(&l.lift(binding[c].get(p)));
+            }
+            return out.insert_by(&gather(binding, &self.out_src), lifted);
+        };
+        for &(t, p) in index.get(&gather(binding, probe)).into_iter().flatten() {
+            let next = prod.as_ref().map_or_else(|| p.clone(), |q| q.mul(p));
+            if !next.is_zero() {
+                binding.push(t);
+                self.descend(binding, Some(next), out);
+                binding.pop();
+            }
+        }
+    }
+}
+
+/// The tuple of the values at `srcs` in a join binding.
+fn gather(binding: &[&Tuple], srcs: &[Src]) -> Tuple {
+    let values = srcs.iter().map(|&(c, p)| binding[c].get(p).clone());
+    Tuple::build(srcs.len(), values)
 }
 
 impl<R: Ring> Relation<R> {
@@ -460,6 +545,189 @@ mod tests {
         let m = r.map_payloads(|_, p| if *p == 2 { 0i64 } else { *p });
         assert_eq!(m.len(), 1);
         assert_eq!(m.payload(&tuple![2]), 3);
+    }
+
+    /// The listing fold `join_aggregate` must equal.
+    fn listing_fold<R: Semiring>(
+        children: &[&Relation<R>],
+        margins: &[(VarId, Lifting<R>)],
+        out: &Schema,
+    ) -> Relation<R> {
+        let mut acc = match children.first() {
+            None => Relation::unit(),
+            Some(c) => (*c).clone(),
+        };
+        for c in children.iter().skip(1) {
+            acc = acc.join(c);
+        }
+        acc.marginalize_many(margins).reorder(out)
+    }
+
+    /// Child schemas covering 1, 2 and 3+ children: chains, a
+    /// Cartesian product, a star and a cycle (whose last child is fully
+    /// bound by the earlier ones).
+    const SHAPES: &[&[&[u32]]] = &[
+        &[&[0, 1]],
+        &[&[0, 1], &[1, 2]],
+        &[&[0], &[1]],
+        &[&[0, 1], &[1, 2], &[2, 3]],
+        &[&[0, 1], &[1, 2], &[2, 0]],
+        &[&[1, 0], &[0, 2], &[0, 3], &[3, 4]],
+    ];
+
+    /// Compare `join_aggregate` with the listing fold by `==` over
+    /// random instances of every shape and three margin choices: every
+    /// variable marginalized with `Lifting::One`, every other variable
+    /// marginalized (the first with `lift(v)`) and the rest output in
+    /// reverse order, and the whole join output in reverse order.
+    fn differential<R: Semiring + std::fmt::Debug>(
+        payload: impl Fn(usize, u64) -> R,
+        lift: impl Fn(VarId) -> Lifting<R>,
+    ) {
+        let none: &[&Relation<R>] = &[];
+        assert_eq!(
+            Relation::join_aggregate(none, &[], &Schema::empty()),
+            listing_fold(none, &[], &Schema::empty())
+        );
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        for shape in SHAPES {
+            for _ in 0..8 {
+                let children: Vec<Relation<R>> = shape
+                    .iter()
+                    .enumerate()
+                    .map(|(i, vars)| {
+                        let pairs: Vec<(Tuple, R)> = (0..12)
+                            .map(|_| {
+                                let key = vars.iter().map(|_| Value::Int((next() % 3) as i64));
+                                (Tuple::new(key.collect()), payload(i, next()))
+                            })
+                            .collect();
+                        Relation::from_pairs(sch(vars), pairs)
+                    })
+                    .collect();
+                let refs: Vec<&Relation<R>> = children.iter().collect();
+                let joined = refs
+                    .iter()
+                    .fold(Schema::empty(), |s, c| s.union(c.schema()));
+                let all_one: Vec<(VarId, Lifting<R>)> =
+                    joined.iter().map(|&v| (v, Lifting::One)).collect();
+                let alternate: Vec<(VarId, Lifting<R>)> = joined
+                    .iter()
+                    .step_by(2)
+                    .enumerate()
+                    .map(|(k, &v)| (v, if k == 0 { lift(v) } else { Lifting::One }))
+                    .collect();
+                let kept: Vec<u32> = joined.iter().skip(1).step_by(2).rev().copied().collect();
+                let reversed: Vec<u32> = joined.iter().rev().copied().collect();
+                for (margins, out) in [
+                    (all_one, Schema::empty()),
+                    (alternate, sch(&kept)),
+                    (Vec::new(), sch(&reversed)),
+                ] {
+                    assert_eq!(
+                        Relation::join_aggregate(&refs, &margins, &out),
+                        listing_fold(&refs, &margins, &out),
+                        "shape {shape:?}, margins {margins:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn int(v: &Value) -> i64 {
+        v.as_int().expect("integer key")
+    }
+
+    /// Payloads in −3..=3 cancel: output keys sum to zero, are erased
+    /// and reappear; lifts `v − 1` zero a third of the join results.
+    #[test]
+    fn join_aggregate_matches_fold_i64() {
+        differential(
+            |_, x| (x % 7) as i64 - 3,
+            |_| Lifting::from_fn(|v| int(v) - 1),
+        );
+    }
+
+    /// Magnitudes 1e16 apart make every summation-order change visible.
+    #[test]
+    fn join_aggregate_matches_fold_f64_bit_for_bit() {
+        const VALUES: [f64; 5] = [0.1, 1e16, -1e16, 0.7, -3.3];
+        differential(
+            |_, x| VALUES[(x % 5) as usize],
+            |_| Lifting::from_fn(|v| 0.3 * int(v) as f64 + 0.1),
+        );
+    }
+
+    #[test]
+    fn join_aggregate_matches_fold_max_product() {
+        use crate::ring::boolean::MaxProduct;
+        differential(
+            |_, x| MaxProduct((x % 10) as f64 / 10.0),
+            |_| Lifting::from_fn(|v| MaxProduct(1.0 / (1 + int(v)) as f64)),
+        );
+    }
+
+    /// Integer features keep every cofactor entry exact.
+    #[test]
+    fn join_aggregate_matches_fold_cofactor() {
+        use crate::ring::cofactor::Cofactor;
+        differential(
+            |i, x| Cofactor::lift(i as u32, (x % 5) as f64 - 2.0),
+            |v| Lifting::from_fn(move |x| Cofactor::lift(10 + v, int(x) as f64)),
+        );
+    }
+
+    /// Non-commutative in the payload schema order: products must
+    /// associate as the fold's.
+    #[test]
+    fn join_aggregate_matches_fold_relational() {
+        use crate::ring::relational::RelPayload;
+        differential(
+            |i, x| RelPayload::singleton(sch(&[100 + i as u32]), tuple![(x % 2) as i64]),
+            |v| Lifting::from_fn(move |x| RelPayload::lift_free(sch(&[200 + v]), x)),
+        );
+    }
+
+    /// 2×2 integer matrices: a non-commutative ring with zero divisors.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Mat2([i64; 4]);
+
+    impl Semiring for Mat2 {
+        fn zero() -> Self {
+            Mat2([0; 4])
+        }
+
+        fn one() -> Self {
+            Mat2([1, 0, 0, 1])
+        }
+
+        fn add_assign(&mut self, other: &Self) {
+            for (a, b) in self.0.iter_mut().zip(other.0) {
+                *a += b;
+            }
+        }
+
+        fn mul(&self, other: &Self) -> Self {
+            let ([a, b, c, d], [e, f, g, h]) = (self.0, other.0);
+            Mat2([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+        }
+    }
+
+    /// Products must associate and order as the fold's; singular
+    /// entries in −1..=1 make partial products vanish and prune their
+    /// subtrees.
+    #[test]
+    fn join_aggregate_matches_fold_noncommutative() {
+        differential(
+            |_, x| Mat2(std::array::from_fn(|k| (x >> (2 * k)) as i64 % 3 - 1)),
+            |_| Lifting::from_fn(|v| Mat2([int(v), 1, 0, 1 - int(v)])),
+        );
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl Tuple {
     /// Build a tuple from an iterator with a known exact length,
     /// staying inline when possible.
     #[inline]
-    fn build(len: usize, vals: impl Iterator<Item = Value>) -> Tuple {
+    pub(crate) fn build(len: usize, vals: impl Iterator<Item = Value>) -> Tuple {
         let repr = Tuple::assemble(len, vals);
         let hash = match &repr {
             Repr::Inline { len, vals } => hash_values(0, &vals[..usize::from(*len)]),

@@ -638,11 +638,6 @@ impl DeltaLog {
         (self.seq, if self.synced_once { self.buf_base } else { 0 })
     }
 
-    /// Current segment sequence number.
-    pub fn current_seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Delete every segment whose records are all covered by a
     /// checkpoint at `cutoff_lsn` — i.e. whose *successor* segment
     /// starts at or before `cutoff_lsn + 1`. The current segment is

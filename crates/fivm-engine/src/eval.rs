@@ -3,14 +3,15 @@
 //! Computes the contents of every view bottom-up: leaves are the input
 //! relations, indicator nodes project their relation’s support, and
 //! inner views join their children and marginalize their bound
-//! variables with the lifting functions. Runs in time proportional to
-//! the sizes of the views — the factorized-evaluation guarantee that
-//! avoids materializing Cartesian products.
+//! variables with the lifting functions, in one streaming pass
+//! ([`Relation::join_aggregate`]) that never materializes the node’s
+//! join. Time is proportional to the join results enumerated at each
+//! node; space to the views plus one index per child.
 //!
 //! This is also the correctness oracle: every IVM strategy in this crate
 //! must agree with `eval_tree` after any update sequence.
 
-use fivm_core::{Lifting, LiftingMap, Relation, Schema, Semiring, Tuple};
+use fivm_core::{LiftingMap, Relation, Schema, Semiring, Tuple};
 use fivm_query::{NodeId, NodeKind, QueryDef, ViewTree};
 
 /// A database: one relation per query relation, aligned with
@@ -43,7 +44,7 @@ impl<R: Semiring> Database<R> {
 pub fn eval_node<R: Semiring>(
     tree: &ViewTree,
     node: NodeId,
-    children: &[Relation<R>],
+    children: &[&Relation<R>],
     db: &Database<R>,
     liftings: &LiftingMap<R>,
 ) -> Relation<R> {
@@ -52,16 +53,8 @@ pub fn eval_node<R: Semiring>(
         NodeKind::Relation(ri) => db.relations[*ri].clone(),
         NodeKind::Indicator { rel, proj } => indicator_relation(&db.relations[*rel], proj),
         NodeKind::Inner { margin, .. } => {
-            let mut acc = match children.first() {
-                None => Relation::unit(),
-                Some(first) => first.clone(),
-            };
-            for c in &children[1..] {
-                acc = acc.join(c);
-            }
-            let margins: Vec<(u32, Lifting<R>)> =
-                margin.iter().map(|&v| (v, liftings.get(v))).collect();
-            acc.marginalize_many(&margins).reorder(&n.keys)
+            let margins: Vec<_> = margin.iter().map(|&v| (v, liftings.get(v))).collect();
+            Relation::join_aggregate(children, &margins, &n.keys)
         }
     }
 }
@@ -83,10 +76,10 @@ pub fn eval_all<R: Semiring>(
     }
     for (id, n) in tree.nodes.iter().enumerate() {
         if matches!(n.kind, NodeKind::Inner { .. }) {
-            let children: Vec<Relation<R>> = n
+            let children: Vec<&Relation<R>> = n
                 .children
                 .iter()
-                .map(|&c| out[c].clone().expect("children evaluated before parents"))
+                .map(|&c| out[c].as_ref().expect("children evaluated before parents"))
                 .collect();
             out[id] = Some(eval_node(tree, id, &children, db, liftings));
         }
@@ -129,6 +122,7 @@ mod tests {
     use super::*;
     use fivm_core::lifting::int_identity;
     use fivm_core::tuple;
+    use fivm_core::Lifting;
     use fivm_query::VariableOrder;
 
     /// Figure 2c database with all payloads 1 (for COUNT).

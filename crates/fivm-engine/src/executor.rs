@@ -158,6 +158,7 @@ use fivm_query::{
     delta_path, materialization, MaterializationPlan, NodeId, NodeKind, QueryDef, RelIndex,
     ViewTree,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Hook rewriting a node's delta payloads before they are stored and
@@ -1010,59 +1011,46 @@ impl<R: Ring> IvmEngine<R> {
         &self.plan
     }
 
-    /// Bulk-load an initial database: evaluates all views bottom-up
-    /// (applying the payload transform) and fills the materialized ones;
-    /// initializes indicator support counts.
+    /// Bulk-load an initial database: evaluates every inner view
+    /// bottom-up with the streaming join-aggregate of
+    /// [`crate::eval::eval_node`], so no node's join is materialized.
+    /// With a pre-projection installed, each child's payloads are mapped
+    /// once before its parent reads them; with a payload transform, each
+    /// view's output is mapped before it is stored. Fills the
+    /// materialized views and recounts indicator supports.
     pub fn load(&mut self, db: &crate::eval::Database<R>) {
-        let mut rels: Vec<Option<Relation<R>>> = vec![None; self.tree.nodes.len()];
-        // `load` replaces all state: support counts must restart from
-        // the loaded database, not accumulate onto prior contents.
-        for counts in self.ind_counts.values_mut() {
-            counts.clear();
-        }
-        // leaves and indicators first
+        let eval = |id: NodeId, children: &[&Relation<R>]| {
+            crate::eval::eval_node(&self.tree, id, children, db, &self.liftings)
+        };
+        // Leaves borrow `db`; indicators (appended last, but read by
+        // inner views) are evaluated first.
+        let mut rels: Vec<Option<Cow<'_, Relation<R>>>> = (self.tree.nodes.iter().enumerate())
+            .map(|(id, n)| match n.kind {
+                NodeKind::Relation(ri) => Some(Cow::Borrowed(&db.relations[ri])),
+                NodeKind::Indicator { .. } => Some(Cow::Owned(eval(id, &[]))),
+                NodeKind::Inner { .. } => None,
+            })
+            .collect();
         for (id, n) in self.tree.nodes.iter().enumerate() {
-            match &n.kind {
-                NodeKind::Relation(ri) => rels[id] = Some(db.relations[*ri].clone()),
-                NodeKind::Indicator { rel, proj } => {
-                    rels[id] = Some(crate::eval::indicator_relation(&db.relations[*rel], proj));
-                    // initialize support counts
-                    if let Some(counts) = self.ind_counts.get_mut(&id) {
-                        let positions = db.relations[*rel]
-                            .schema()
-                            .positions_of(proj.vars())
-                            .expect("indicator proj in relation schema");
-                        for (t, _) in db.relations[*rel].iter() {
-                            *counts.entry(t.project(&positions)).or_insert(0) += 1;
-                        }
-                    }
-                }
-                NodeKind::Inner { .. } => {}
+            if !matches!(n.kind, NodeKind::Inner { .. }) {
+                continue;
             }
-        }
-        for (id, n) in self.tree.nodes.iter().enumerate() {
-            if let NodeKind::Inner { margin, .. } = &n.kind {
-                let pre = |r: &Relation<R>| -> Relation<R> {
-                    match &self.payload_preproject {
-                        Some(pp) => r.map_payloads(|_, p| pp(p)),
-                        None => r.clone(),
-                    }
-                };
-                let mut acc = match n.children.first() {
-                    None => Relation::unit(),
-                    Some(&c) => pre(rels[c].as_ref().expect("children before parents")),
-                };
-                for &c in &n.children[1..] {
-                    acc = acc.join(&pre(rels[c].as_ref().expect("children before parents")));
+            let children = n
+                .children
+                .iter()
+                .map(|&c| rels[c].as_deref().expect("children before parents"));
+            let mut view = match &self.payload_preproject {
+                Some(pp) => {
+                    let mapped: Vec<Relation<R>> =
+                        children.map(|c| c.map_payloads(|_, p| pp(p))).collect();
+                    eval(id, &mapped.iter().collect::<Vec<_>>())
                 }
-                let margins: Vec<(u32, Lifting<R>)> =
-                    margin.iter().map(|&v| (v, self.liftings.get(v))).collect();
-                let mut out = acc.marginalize_many(&margins).reorder(&n.keys);
-                if let Some(hook) = &self.payload_transform {
-                    out = out.map_payloads(|t, p| hook(id, t, p));
-                }
-                rels[id] = Some(out);
+                None => eval(id, &children.collect::<Vec<_>>()),
+            };
+            if let Some(hook) = &self.payload_transform {
+                view = view.map_payloads(|t, p| hook(id, t, p));
             }
+            rels[id] = Some(Cow::Owned(view));
         }
         for (id, rel) in rels.into_iter().enumerate() {
             if let (Some(store), Some(rel)) = (&mut self.views[id], rel) {
@@ -1075,6 +1063,9 @@ impl<R: Ring> IvmEngine<R> {
                 store.reload(&rel);
             }
         }
+        // `load` replaces all state: support counts restart from the
+        // loaded leaves, not from prior contents.
+        self.rebuild_indicator_counts();
     }
 
     /// Restore materialized views from checkpointed snapshots — the
@@ -1116,11 +1107,10 @@ impl<R: Ring> IvmEngine<R> {
         self.updates_applied = updates_applied;
     }
 
-    /// Recompute indicator support counts from the (restored) leaf
-    /// stores of the indicated relations. Mirrors the count
-    /// initialization in [`IvmEngine::load`]: a leaf store holds one
-    /// entry per distinct live tuple, so each contributes `+1` to its
-    /// projection's count.
+    /// Recompute indicator support counts from the (loaded or
+    /// restored) leaf stores of the indicated relations: a leaf store
+    /// holds one entry per distinct live tuple, so each contributes `+1`
+    /// to its projection's count.
     fn rebuild_indicator_counts(&mut self) {
         let mut rebuilt: Vec<(NodeId, FxHashMap<Tuple, i64>)> = Vec::new();
         for (id, n) in self.tree.nodes.iter().enumerate() {
@@ -2303,14 +2293,11 @@ fn emit_lifted<R: Ring>(
 
 /// Multiply factors out and reorder to `keys`.
 fn flatten_to<R: Ring>(factors: &[Relation<R>], keys: &Schema) -> Relation<R> {
-    if factors.is_empty() {
-        return Relation::new(keys.clone());
+    match factors {
+        [] => Relation::new(keys.clone()),
+        [f] => f.reorder(keys),
+        _ => Relation::join_aggregate(&factors.iter().collect::<Vec<_>>(), &[], keys),
     }
-    let mut acc = factors[0].clone();
-    for f in &factors[1..] {
-        acc = acc.join(f);
-    }
-    acc.reorder(keys)
 }
 
 #[cfg(test)]

@@ -154,11 +154,6 @@ impl<R: Ring> TriangleHlEngine<R> {
         self.stats
     }
 
-    /// Heavy-key count per cycle position.
-    pub fn heavy_counts(&self) -> [usize; 3] {
-        std::array::from_fn(|k| self.deg[k].heavy_count())
-    }
-
     /// Distinct tuples across all three relations.
     pub fn tuple_count(&self) -> usize {
         self.n_tuples

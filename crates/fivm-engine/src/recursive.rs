@@ -100,23 +100,16 @@ impl<R: Ring> RecursiveIvm<R> {
         for i in 0..self.views.len() {
             let mask = self.views[i].mask;
             let keys = self.views[i].keys.clone();
-            let mut acc: Option<Relation<R>> = None;
-            for r in 0..self.query.relations.len() {
-                if mask & (1 << r) != 0 {
-                    acc = Some(match acc {
-                        None => db.relations[r].clone(),
-                        Some(a) => a.join(&db.relations[r]),
-                    });
-                }
-            }
-            let acc = acc.expect("view over no relations");
-            let margins: Vec<(u32, Lifting<R>)> = acc
-                .schema()
+            let children: Vec<&Relation<R>> = (0..self.query.relations.len())
+                .filter(|r| mask & (1 << r) != 0)
+                .map(|r| &db.relations[r])
+                .collect();
+            let margins: Vec<(u32, Lifting<R>)> = vars_of(&self.query, mask)
                 .iter()
                 .filter(|v| !keys.contains(**v))
                 .map(|&v| (v, self.liftings.get(v)))
                 .collect();
-            let rel = acc.marginalize_many(&margins).reorder(&keys);
+            let rel = Relation::join_aggregate(&children, &margins, &keys);
             self.views[i].store = ViewStore::new(keys);
             self.views[i].store.merge(&rel);
         }

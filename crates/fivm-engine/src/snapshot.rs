@@ -419,12 +419,6 @@ impl<R: Ring> ServingEngine<R> {
     pub fn engine(&self) -> &IvmEngine<R> {
         &self.engine
     }
-
-    /// Mutable access for setup (loads, index creation, worker count).
-    /// Changes become visible to readers at the next publish.
-    pub fn engine_mut(&mut self) -> &mut IvmEngine<R> {
-        &mut self.engine
-    }
 }
 
 #[cfg(test)]

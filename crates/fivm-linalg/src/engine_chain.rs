@@ -139,11 +139,11 @@ impl EngineChainIvm {
     pub fn product(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         let root = self.engine.tree().root;
-        let rel = self
+        let store = self
             .engine
-            .view_relation(root)
+            .view_store(root)
             .expect("root is always materialized");
-        for (t, p) in rel.iter() {
+        for (t, p) in store.iter() {
             let (i, j) = match (t.get(self.root_pos[0]), t.get(self.root_pos[1])) {
                 (Value::Int(i), Value::Int(j)) => (*i as usize, *j as usize),
                 _ => unreachable!("chain keys are integer indices"),

@@ -211,11 +211,6 @@ impl Matrix {
         self.data.iter().map(|a| a.abs()).fold(0.0, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
-    }
-
     /// True iff all elements differ by at most `eps`.
     pub fn approx_eq(&self, other: &Matrix, eps: f64) -> bool {
         (self.rows, self.cols) == (other.rows, other.cols) && self.max_abs_diff(other) <= eps
