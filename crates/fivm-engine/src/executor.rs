@@ -483,7 +483,9 @@ impl<R: Ring> IvmEngine<R> {
         for (id, n) in tree.nodes.iter().enumerate() {
             if let NodeKind::Indicator { rel, proj } = &n.kind {
                 ind_steps.insert(id, Arc::new(delta_steps(&tree, &path_from(&tree, id))));
-                if proj.len() < query.relations[*rel].schema.len() {
+                // Support counts are read only when `rel` updates, and
+                // are rebuilt from its (then force-stored) leaf.
+                if mask & (1 << rel) != 0 && proj.len() < query.relations[*rel].schema.len() {
                     ind_counts.insert(id, FxHashMap::default());
                 }
             }
@@ -2641,6 +2643,48 @@ mod tests {
             engine.result().payload(&Tuple::unit()),
             eval_tree(&tree, &db, &lifts).payload(&Tuple::unit())
         );
+    }
+
+    /// `load` with a static relation R that has a partial indicator
+    /// ∃R(A,B) but no leaf store (its leaf sits alone under V_X, which
+    /// µ does not store): the indicator keeps no support counts, and the
+    /// loaded and maintained results match recomputation.
+    #[test]
+    fn load_with_static_partially_indicated_relation() {
+        let q = QueryDef::new(
+            &[
+                ("R", &["A", "B", "X"]),
+                ("S", &["B", "C"]),
+                ("T", &["C", "A"]),
+            ],
+            &[],
+        );
+        let vo = VariableOrder::parse("A - B - { C, X }", &q.catalog);
+        let mut tree = ViewTree::build(&q, &vo);
+        assert_eq!(fivm_query::add_indicators(&mut tree, &q).len(), 1);
+        let lifts = LiftingMap::<i64>::new();
+        let mut engine = IvmEngine::new(q.clone(), tree.clone(), &[1], lifts.clone());
+        let r_leaf = tree.leaf_of(0).unwrap();
+        assert!(
+            engine.views[r_leaf].is_none(),
+            "R's leaf must stay unstored"
+        );
+        assert!(engine.ind_counts.is_empty());
+        let mut db = Database::empty(&q);
+        for (a, b, x) in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 3)] {
+            db.relations[0].insert(tuple![a, b, x], 1);
+        }
+        db.relations[1].insert(tuple![1, 1], 1);
+        db.relations[2].insert(tuple![1, 1], 1);
+        db.relations[2].insert(tuple![1, 2], 1);
+        engine.load(&db);
+        assert_eq!(engine.result(), eval_tree(&tree, &db, &lifts));
+        for (t, m) in [(tuple![2, 1], 1i64), (tuple![1, 1], -1), (tuple![2, 1], 2)] {
+            let d = Relation::from_pairs(q.relations[1].schema.clone(), [(t, m)]);
+            engine.apply(1, &Delta::Flat(d.clone()));
+            db.relations[1].union_in_place(&d);
+            assert_eq!(engine.result(), eval_tree(&tree, &db, &lifts));
+        }
     }
 
     /// The canonical rank-1 shape precompiles for every updatable
