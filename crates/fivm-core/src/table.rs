@@ -408,6 +408,19 @@ impl<R> TupleMap<R> {
             })
     }
 
+    /// [`TupleMap::iter_ids`] with mutable payloads: one sequential
+    /// pass over the arena that may rewrite payloads in place. Keys and
+    /// ids cannot change, so the metadata stays valid.
+    pub fn iter_ids_mut(&mut self) -> impl Iterator<Item = (u32, &Tuple, &mut R)> {
+        self.entries
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(id, e)| match e {
+                Entry::Full(t, r) => Some((id as u32, &*t, r)),
+                Entry::Free(_) => None,
+            })
+    }
+
     /// Keep entries for which `f` returns `true`; the rest become
     /// tombstones and free cells (capacity retained). This is the
     /// high-water-mark sweep primitive: callers retaining emptied

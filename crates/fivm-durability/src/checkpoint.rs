@@ -25,7 +25,9 @@ use crate::crc::crc32;
 use crate::vfs::{write_all_at, StdVfs, Vfs};
 use crate::wal::{self, FRAME_HEADER_LEN};
 use crate::{DurabilityError, Result};
-use fivm_core::{Codec, Relation, Semiring};
+use fivm_core::codec::put_count;
+use fivm_core::{Codec, Relation, Ring, Semiring};
+use fivm_engine::ViewStore;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of manifest files.
@@ -110,13 +112,24 @@ fn read_framed(vfs: &dyn Vfs, path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>> {
 }
 
 /// Write a magic-prefixed single-frame file at `path` and fsync it.
-fn write_framed(vfs: &dyn Vfs, path: &Path, magic: &[u8; 8], payload: &[u8]) -> Result<()> {
+/// `payload` appends the frame's payload behind a reserved header,
+/// whose length and checksum are patched in afterwards, so the payload
+/// is encoded once, in place.
+fn write_framed(
+    vfs: &dyn Vfs,
+    path: &Path,
+    magic: &[u8; 8],
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<()> {
     let mut file = vfs.create(path)?;
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let header = magic.len() + FRAME_HEADER_LEN as usize;
+    let mut bytes = vec![0; header];
+    bytes[..magic.len()].copy_from_slice(magic);
+    payload(&mut bytes);
+    let len = (bytes.len() - header) as u32;
+    let crc = crc32(&bytes[header..]);
+    bytes[8..12].copy_from_slice(&len.to_le_bytes());
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
     write_all_at(file.as_mut(), 0, &bytes)?;
     file.sync_all()?;
     Ok(())
@@ -162,52 +175,56 @@ pub fn write_manifest(dir: &Path, m: &Manifest) -> Result<()> {
 
 /// [`write_manifest`] through an explicit [`Vfs`].
 pub fn write_manifest_in(vfs: &dyn Vfs, dir: &Path, m: &Manifest) -> Result<()> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&m.seq.to_le_bytes());
-    payload.extend_from_slice(&m.lsn.to_le_bytes());
-    payload.extend_from_slice(&m.query_fingerprint.to_le_bytes());
-    payload.extend_from_slice(&(m.symbols.len() as u32).to_le_bytes());
-    for s in &m.symbols {
-        s.encode(&mut payload);
-    }
-    payload.extend_from_slice(&(m.views.len() as u32).to_le_bytes());
-    for &(node, file_seq) in &m.views {
-        payload.extend_from_slice(&(node as u32).to_le_bytes());
-        payload.extend_from_slice(&file_seq.to_le_bytes());
-    }
     let tmp = dir.join(format!("ckpt-{:06}.tmp", m.seq));
-    write_framed(vfs, &tmp, MANIFEST_MAGIC, &payload)?;
+    write_framed(vfs, &tmp, MANIFEST_MAGIC, |payload| {
+        payload.extend_from_slice(&m.seq.to_le_bytes());
+        payload.extend_from_slice(&m.lsn.to_le_bytes());
+        payload.extend_from_slice(&m.query_fingerprint.to_le_bytes());
+        payload.extend_from_slice(&(m.symbols.len() as u32).to_le_bytes());
+        for s in &m.symbols {
+            s.encode(payload);
+        }
+        payload.extend_from_slice(&(m.views.len() as u32).to_le_bytes());
+        for &(node, file_seq) in &m.views {
+            payload.extend_from_slice(&(node as u32).to_le_bytes());
+            payload.extend_from_slice(&file_seq.to_le_bytes());
+        }
+    })?;
     vfs.rename(&tmp, &manifest_path(dir, m.seq))?;
     Ok(())
 }
 
 /// Write one view snapshot file (fsynced).
-pub fn write_view_file<R: Semiring + Codec>(
+pub fn write_view_file<R: Ring + Codec>(
     dir: &Path,
     node: usize,
     file_seq: u64,
-    rel: &Relation<R>,
+    view: &ViewStore<R>,
 ) -> Result<()> {
-    write_view_file_in(&StdVfs, dir, node, file_seq, rel)
+    write_view_file_in(&StdVfs, dir, node, file_seq, view)
 }
 
-/// [`write_view_file`] through an explicit [`Vfs`].
-pub fn write_view_file_in<R: Semiring + Codec>(
+/// [`write_view_file`] through an explicit [`Vfs`]. The store's
+/// entries are encoded in arena order straight into the frame: the
+/// bytes of [`Relation::encode`] over [`ViewStore::to_relation`],
+/// without building that relation.
+pub fn write_view_file_in<R: Ring + Codec>(
     vfs: &dyn Vfs,
     dir: &Path,
     node: usize,
     file_seq: u64,
-    rel: &Relation<R>,
+    view: &ViewStore<R>,
 ) -> Result<()> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(node as u32).to_le_bytes());
-    rel.encode(&mut payload);
-    write_framed(
-        vfs,
-        &view_file_path(dir, node, file_seq),
-        VIEW_MAGIC,
-        &payload,
-    )
+    let path = view_file_path(dir, node, file_seq);
+    write_framed(vfs, &path, VIEW_MAGIC, |out| {
+        out.extend_from_slice(&(node as u32).to_le_bytes());
+        view.schema().encode(out);
+        put_count(out, view.len());
+        for (t, p) in view.iter() {
+            t.encode(out);
+            p.encode(out);
+        }
+    })
 }
 
 /// Read and validate one view snapshot file.

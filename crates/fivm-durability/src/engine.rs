@@ -648,12 +648,12 @@ impl<R: Ring + Codec> DurableEngine<R> {
             if self.view_versions.get(&node) == Some(&ver) && self.view_files.contains_key(&node) {
                 continue;
             }
-            let Some(rel) = self.engine.view_relation(node) else {
+            let Some(view) = self.engine.view_store(node) else {
                 continue;
             };
             let file_seq = self.next_file_seq;
             self.next_file_seq += 1;
-            checkpoint::write_view_file_in(self.vfs.as_ref(), &self.dir, node, file_seq, &rel)?;
+            checkpoint::write_view_file_in(self.vfs.as_ref(), &self.dir, node, file_seq, view)?;
             self.view_files.insert(node, file_seq);
             self.view_versions.insert(node, ver);
         }

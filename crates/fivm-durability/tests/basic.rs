@@ -4,10 +4,11 @@
 //! `tests/durability_crashpoints.rs`; this file covers the happy paths
 //! close to the implementation.
 
-use fivm_core::{tuple, Delta, LiftingMap, Relation, Value};
+use fivm_core::ring::cofactor::Cofactor;
+use fivm_core::{tuple, Codec, Delta, Lifting, LiftingMap, Relation, Ring, Semiring, Value};
 use fivm_durability::{checkpoint, wal, DurabilityConfig, DurableEngine};
 use fivm_engine::IvmEngine;
-use fivm_query::{QueryDef, VariableOrder, ViewTree};
+use fivm_query::{add_indicators, QueryDef, VariableOrder, ViewTree};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -204,4 +205,94 @@ fn mismatched_query_is_rejected() {
     let engine2: IvmEngine<i64> = IvmEngine::new(q2.clone(), tree2, &[0, 1, 2], LiftingMap::new());
     assert!(DurableEngine::open(&dir, engine2, cfg).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Write every materialized view of `e` with the checkpoint writer and
+/// require the file's payload to be, byte for byte, the node id
+/// followed by `Relation::encode` of the view's relation.
+fn assert_view_files_encode_relations<R: Ring + Codec + std::fmt::Debug>(
+    tag: &str,
+    e: &IvmEngine<R>,
+) {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut written = 0;
+    for node in e.materialized_nodes() {
+        let Some(view) = e.view_store(node) else {
+            continue;
+        };
+        checkpoint::write_view_file(&dir, node, 1, view).unwrap();
+        let bytes = std::fs::read(checkpoint::view_file_path(&dir, node, 1)).unwrap();
+        let rel = e.view_relation(node).unwrap();
+        let mut want = (node as u32).to_le_bytes().to_vec();
+        rel.encode(&mut want);
+        assert_eq!(&bytes[..8], checkpoint::VIEW_MAGIC, "{tag} node {node}");
+        assert_eq!(&bytes[16..], &want[..], "{tag} node {node}");
+        // The patched header checks out: length and checksum.
+        let back: Relation<R> = checkpoint::read_view_file(&dir, node, 1).unwrap();
+        assert_eq!(back, rel, "{tag} node {node}");
+        written += 1;
+    }
+    assert!(written >= 3, "{tag}: only {written} views");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn view_files_encode_like_relations() {
+    // Star: inserts, then deletes that free arena cells for reuse.
+    let (q, mut star) = rst_engine();
+    for i in 0..40i64 {
+        star.apply(0, &delta(&q, 0, &[(&[i % 7, i], 1)]));
+        star.apply(1, &delta(&q, 1, &[(&[i % 7, i % 5, i], 2)]));
+        star.apply(2, &delta(&q, 2, &[(&[i % 5, i], 1)]));
+    }
+    for i in (0..40i64).step_by(3) {
+        star.apply(1, &delta(&q, 1, &[(&[i % 7, i % 5, i], -2)]));
+    }
+    assert_view_files_encode_relations("enc-star", &star);
+
+    // Triangle with indicator projections.
+    let q = QueryDef::triangle();
+    let vo = VariableOrder::parse("A - B - C", &q.catalog);
+    let mut tree = ViewTree::build(&q, &vo);
+    add_indicators(&mut tree, &q);
+    let mut tri: IvmEngine<i64> = IvmEngine::new(q.clone(), tree, &[0, 1, 2], LiftingMap::new());
+    for i in 0..30i64 {
+        for rel in 0..3 {
+            tri.apply(
+                rel,
+                &delta(&q, rel, &[(&[i % 6, (i * 5 + rel as i64) % 6], 1)]),
+            );
+        }
+    }
+    assert_view_files_encode_relations("enc-triangle", &tri);
+
+    // Cofactor payloads: every non-join variable of the star lifted.
+    let q = QueryDef::example_rst(&[]);
+    let vo = VariableOrder::parse("A - { B, C - { D, E } }", &q.catalog);
+    let tree = ViewTree::build(&q, &vo);
+    let mut lifts = LiftingMap::new();
+    for (j, name) in ["B", "D", "E"].into_iter().enumerate() {
+        let v = q.catalog.lookup(name).unwrap();
+        lifts.set(
+            v,
+            Lifting::from_fn(move |x| Cofactor::lift_value(j as u32, x)),
+        );
+    }
+    let mut cof: IvmEngine<Cofactor> = IvmEngine::new(q.clone(), tree, &[0, 1, 2], lifts);
+    let one = |rel: usize, vals: &[i64]| {
+        Delta::Flat(Relation::from_pairs(
+            q.relations[rel].schema.clone(),
+            [(
+                fivm_core::Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect()),
+                Cofactor::one(),
+            )],
+        ))
+    };
+    for i in 0..20i64 {
+        cof.apply(0, &one(0, &[i % 4, i]));
+        cof.apply(1, &one(1, &[i % 4, i % 3, i]));
+        cof.apply(2, &one(2, &[i % 3, i]));
+    }
+    assert_view_files_encode_relations("enc-cofactor", &cof);
 }

@@ -125,6 +125,19 @@
 //! Checkpoints cut before the alias existed still carry the indicator's
 //! snapshot; [`IvmEngine::restore_views`] skips it.
 //!
+//! # Store-merge direction
+//!
+//! Every factored store merge, the leaf's included, absorbs `a ⊗ b`
+//! (or one factor) through [`ViewStore::merge_product`], which picks
+//! the join direction by cardinality. When `|a|·|b|` is at least half
+//! the store, it scans the store once and finds each entry's factor
+//! pair in two small key maps over `a` and `b`; a rank-1 update to a
+//! dense matrix chain touches every entry, and one sequential pass
+//! beats `|a|·|b|` hash probes. Otherwise it probes once per product
+//! pair. Each key gets the same single `⊕ (pa ⊗ pb)` either way, and
+//! structural changes happen in the same order, so views, entry ids
+//! and index buckets are identical across the two directions.
+//!
 //! # Parallel propagation
 //!
 //! Within one maintenance step, sibling probes are read-only and tuples
@@ -148,7 +161,7 @@
 pub mod verify;
 
 use crate::parallel::{self, ParRuntime};
-use crate::view::{SupportChange, ViewStore};
+use crate::view::{ProductScratch, ViewStore};
 use fivm_core::{
     Delta, DeltaAccumulator, FxHashMap, Lifting, LiftingMap, ProjKey, Relation, Ring, Schema,
     Tuple, TupleKey,
@@ -311,6 +324,21 @@ struct FactoredStore {
     out_pos: Box<[usize]>,
 }
 
+impl FactoredStore {
+    /// Absorb the product of this flatten's slots into `store` (module
+    /// docs, "Store-merge direction").
+    fn merge<R: Ring>(
+        &self,
+        store: &mut ViewStore<R>,
+        slots: &[Vec<(Tuple, R)>],
+        product: &mut ProductScratch,
+        transitions: Option<&mut Vec<(Tuple, i8)>>,
+    ) {
+        let b = self.b.map(|b| slots[b].as_slice());
+        store.merge_product(&slots[self.a], b, &self.out_pos, product, transitions);
+    }
+}
+
 /// One compiled maintenance step of a [`FactoredPlan`].
 struct FactoredStep<R> {
     /// The node whose delta this step computes.
@@ -335,19 +363,10 @@ struct FactoredPlan<R> {
     n_slots: usize,
     /// Flatten-and-merge of the update into the leaf store, collecting
     /// support transitions for indicator maintenance; present iff the
-    /// leaf is materialized. `ops` holds only `Cross` (reading the
+    /// leaf is materialized. The ops are only `Cross` (reading the
     /// input slots non-destructively — they stay live for propagation).
-    entry_store: Option<FactoredEntry<R>>,
+    entry_store: Option<(Vec<FactorOp<R>>, FactoredStore)>,
     steps: Vec<FactoredStep<R>>,
-}
-
-/// The entry flatten of a [`FactoredPlan`] (leaf store maintenance).
-struct FactoredEntry<R> {
-    ops: Vec<FactorOp<R>>,
-    a: usize,
-    b: Option<usize>,
-    /// Projection onto the leaf's key order over the virtual `a ⧺ b`.
-    out_pos: Box<[usize]>,
 }
 
 /// One relation's cached factored plans, probed linearly by shape.
@@ -435,6 +454,12 @@ pub struct IvmEngine<R: Ring> {
     /// immediately discard (§6.3).
     payload_preproject: Option<PayloadPreprojection<R>>,
     scratch: Scratch<R>,
+    /// Key maps, bitmap and zero list of the factored store merges,
+    /// reused across updates. Kept out of [`Scratch`], which every
+    /// update moves out of the engine and back, so single-tuple
+    /// updates would pay for its size; boxed, so the engine's own
+    /// layout barely changes.
+    product: Box<ProductScratch>,
     /// Whether flat deltas may take the compiled fast path (disabled by
     /// benchmarks and differential tests to expose the general path).
     fast_path: bool,
@@ -557,6 +582,7 @@ impl<R: Ring> IvmEngine<R> {
             payload_transform: None,
             payload_preproject: None,
             scratch: Scratch::default(),
+            product: Box::default(),
             fast_path: true,
             workers: parallel::env_workers(),
             par_threshold: parallel::env_parallel_threshold(),
@@ -796,9 +822,9 @@ impl<R: Ring> IvmEngine<R> {
         // factors stay live for propagation.
         let entry_store = if self.plan.store[entry] {
             let mut ops = Vec::new();
-            let (a, b, out_pos) =
+            let store =
                 Self::compile_flatten(factors.clone(), &leaf_keys, &mut next_slot, &mut ops)?;
-            Some(FactoredEntry { ops, a, b, out_pos })
+            Some((ops, store))
         } else {
             None
         };
@@ -927,9 +953,12 @@ impl<R: Ring> IvmEngine<R> {
             }
 
             let store = if self.plan.store[step.node] {
-                let (a, b, out_pos) =
-                    Self::compile_flatten(factors.clone(), &node_keys, &mut next_slot, &mut ops)?;
-                Some(FactoredStore { a, b, out_pos })
+                Some(Self::compile_flatten(
+                    factors.clone(),
+                    &node_keys,
+                    &mut next_slot,
+                    &mut ops,
+                )?)
             } else {
                 None
             };
@@ -958,7 +987,7 @@ impl<R: Ring> IvmEngine<R> {
         keys: &Schema,
         next_slot: &mut usize,
         ops: &mut Vec<FactorOp<R>>,
-    ) -> Option<(usize, Option<usize>, Box<[usize]>)> {
+    ) -> Option<FactoredStore> {
         while live.len() > 2 {
             let (sa, xa) = live.remove(0);
             let (sb, xb) = live.remove(0);
@@ -967,14 +996,13 @@ impl<R: Ring> IvmEngine<R> {
             ops.push(FactorOp::Cross { a: sa, b: sb, out });
             live.insert(0, (out, xa.union(&xb)));
         }
-        match live.as_slice() {
-            [(a, sa)] => Some((*a, None, sa.positions_of(keys.vars())?.into())),
-            [(a, sa), (b, sb)] => {
-                let cat = sa.union(sb);
-                Some((*a, Some(*b), cat.positions_of(keys.vars())?.into()))
-            }
-            _ => None,
-        }
+        let (a, b, cat) = match live.as_slice() {
+            [(a, sa)] => (*a, None, sa.clone()),
+            [(a, sa), (b, sb)] => (*a, Some(*b), sa.union(sb)),
+            _ => return None,
+        };
+        let out_pos = cat.positions_of(keys.vars())?.into();
+        Some(FactoredStore { a, b, out_pos })
     }
 
     /// Install a payload transform (factorized-payload mode, §6.3).
@@ -1697,37 +1725,15 @@ impl<R: Ring> IvmEngine<R> {
         }
 
         let indicators = self.rel_indicators[rel].clone();
-        if let Some(es) = &plan.entry_store {
-            for op in &es.ops {
+        if let Some((ops, es)) = &plan.entry_store {
+            for op in ops {
                 self.run_factor_op(op, &mut scratch);
             }
             let store = self.views[plan.entry].as_mut().expect("entry stored");
             let Scratch {
                 slots, transitions, ..
             } = &mut scratch;
-            let mut merge =
-                |key: Tuple, p: R, store: &mut ViewStore<R>| match store.insert_ref(&key, p) {
-                    SupportChange::Appeared => transitions.push((key, 1)),
-                    SupportChange::Disappeared => transitions.push((key, -1)),
-                    SupportChange::Unchanged => {}
-                };
-            match es.b {
-                None => {
-                    for (t, p) in &slots[es.a] {
-                        merge(t.project(&es.out_pos), p.clone(), store);
-                    }
-                }
-                Some(b) => {
-                    for (ta, pa) in &slots[es.a] {
-                        for (tb, pb) in &slots[b] {
-                            let p = pa.mul(pb);
-                            if !p.is_zero() {
-                                merge(ta.concat_project(tb, &es.out_pos), p, store);
-                            }
-                        }
-                    }
-                }
-            }
+            es.merge(store, slots, &mut self.product, Some(transitions));
         }
 
         self.run_factored_steps(plan, &mut scratch);
@@ -1746,23 +1752,7 @@ impl<R: Ring> IvmEngine<R> {
             }
             if let Some(st) = &step.store {
                 let store = self.views[step.node].as_mut().expect("stored node");
-                match st.b {
-                    None => {
-                        for (t, p) in &scratch.slots[st.a] {
-                            store.insert_ref(&t.project(&st.out_pos), p.clone());
-                        }
-                    }
-                    Some(b) => {
-                        for (ta, pa) in &scratch.slots[st.a] {
-                            for (tb, pb) in &scratch.slots[b] {
-                                let p = pa.mul(pb);
-                                if !p.is_zero() {
-                                    store.insert_ref(&ta.concat_project(tb, &st.out_pos), p);
-                                }
-                            }
-                        }
-                    }
-                }
+                st.merge(store, &scratch.slots, &mut self.product, None);
             }
         }
     }

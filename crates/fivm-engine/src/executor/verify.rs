@@ -17,7 +17,9 @@
 //!   build and returns the findings, for tests and operational
 //!   auditing.
 
-use super::{FactorOp, FactoredPlan, FactoredStep, FastPlan, FastSibling, Fused, IvmEngine};
+use super::{
+    FactorOp, FactoredPlan, FactoredStep, FactoredStore, FastPlan, FastSibling, Fused, IvmEngine,
+};
 use crate::parallel;
 use crate::view::ViewStore;
 use fivm_check::plan_ir::{
@@ -88,11 +90,15 @@ fn factored_step_ir<R>(st: &FactoredStep<R>) -> FactoredStepIr {
         node: st.node,
         live_in: st.live_in.to_vec(),
         ops: st.ops.iter().map(factor_op_ir).collect(),
-        store: st.store.as_ref().map(|s| FlattenIr {
-            a: s.a,
-            b: s.b,
-            out_pos: s.out_pos.to_vec(),
-        }),
+        store: st.store.as_ref().map(flatten_ir),
+    }
+}
+
+fn flatten_ir(s: &FactoredStore) -> FlattenIr {
+    FlattenIr {
+        a: s.a,
+        b: s.b,
+        out_pos: s.out_pos.to_vec(),
     }
 }
 
@@ -149,15 +155,11 @@ pub(super) fn factored_plan_ir<R>(shape: &FactorShape, p: &FactoredPlan<R>) -> F
         entry: p.entry,
         shape: shape.schemas().iter().map(schema_vars).collect(),
         n_slots: p.n_slots,
-        entry_store: p.entry_store.as_ref().map(|e| FactoredStepIr {
+        entry_store: p.entry_store.as_ref().map(|(ops, store)| FactoredStepIr {
             node: p.entry,
             live_in: Vec::new(),
-            ops: e.ops.iter().map(factor_op_ir).collect(),
-            store: Some(FlattenIr {
-                a: e.a,
-                b: e.b,
-                out_pos: e.out_pos.to_vec(),
-            }),
+            ops: ops.iter().map(factor_op_ir).collect(),
+            store: Some(flatten_ir(store)),
         }),
         steps: p.steps.iter().map(factored_step_ir).collect(),
     }

@@ -244,7 +244,7 @@ impl<R: Ring> SnapshotPublisher<R> {
                     }
                 }
                 self.versions[node] = Some(ver);
-                Some(Arc::new(store.clone()))
+                Some(Arc::new(store.snapshot_copy()))
             })
             .collect();
         let snap = Arc::new(EngineSnapshot {
@@ -503,6 +503,24 @@ mod tests {
             }
         }
         assert!(b.epoch() > a.epoch());
+    }
+
+    /// Published stores carry no change-capture buffer: a subscribed
+    /// view's pending pairs go to delivery, not into every epoch.
+    #[test]
+    fn published_stores_do_not_capture() {
+        let mut s = serving();
+        let root = s.engine().tree().root;
+        let _sub = s.subscribe(root).expect("the root is materialized");
+        for (rel, t) in [(0, tuple![1, 2]), (1, tuple![1, 3, 5]), (2, tuple![3, 4])] {
+            let d = rst_delta(&s, rel, t);
+            s.apply(rel, &d);
+        }
+        let snap = s.publish();
+        let view = snap.view(root).expect("the root is published");
+        assert_eq!(view.len(), 1);
+        assert!(!view.capture_enabled());
+        assert!(s.engine().view_store(root).unwrap().capture_enabled());
     }
 
     /// A wedged reader (one that pins an epoch and never unpins) is

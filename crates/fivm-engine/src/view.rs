@@ -64,6 +64,35 @@ const INDEX_SWEEP_FLOOR: usize = 64;
 /// possible rehash).
 const BATCH_RESERVE_MIN: usize = 1024;
 
+/// Reusable buffers of [`ViewStore::merge_product`]'s scan direction;
+/// one instance serves every store, and its capacity is kept between
+/// calls.
+#[derive(Debug, Default)]
+pub(crate) struct ProductScratch {
+    /// Store-key positions of the `a` factor's columns, in `a`'s order.
+    a_pos: Vec<usize>,
+    /// The same for `b`.
+    b_pos: Vec<usize>,
+    /// Key → index in the `a` factor.
+    a_ids: TupleMap<u32>,
+    /// Key → index in the `b` factor.
+    b_ids: TupleMap<u32>,
+    /// Product pairs the scan met, one bit per product index.
+    met: Vec<u64>,
+    /// `(product index, entry id)` of the entries the scan summed to
+    /// zero.
+    zeroed: Vec<(usize, u32)>,
+}
+
+/// Map each key of a factor to its index in it.
+fn index_factor<R>(ids: &mut TupleMap<u32>, factor: &[(Tuple, R)]) {
+    ids.clear();
+    for (i, (t, _)) in factor.iter().enumerate() {
+        *ids.upsert(t, || 0).1 = i as u32;
+    }
+    debug_assert_eq!(ids.len(), factor.len(), "factor keys must be distinct");
+}
+
 impl SecondaryIndex {
     /// Re-index every entry of `data`, resetting the sweep counters
     /// from the rebuilt contents.
@@ -300,6 +329,219 @@ impl<R: Ring> ViewStore<R> {
             SupportChange::Disappeared
         } else {
             SupportChange::Unchanged
+        }
+    }
+
+    /// Erase the live entry `id`, whose payload summed to zero, from
+    /// the primary map and every index; returns its key. The scan
+    /// direction of [`ViewStore::merge_product`] uses it.
+    /// [`ViewStore::insert_ref`] keeps its own copy of this removal: it
+    /// is the flat path's store merge, and single-tuple throughput
+    /// moved measurably when it called a shared helper instead.
+    fn erase(&mut self, id: u32) -> Tuple {
+        let (t, _) = self.data.remove_id(id);
+        for ix in &mut self.indexes {
+            if let Some(v) = ix.map.get_mut(&ProjKey::new(&t, &ix.positions)) {
+                if let Some(pos) = v.iter().position(|&x| x == id) {
+                    v.swap_remove(pos);
+                }
+                if v.is_empty() {
+                    ix.bucket_emptied();
+                }
+            }
+        }
+        t
+    }
+
+    /// Absorb the factored delta `a ⊗ b` — or the single factor `a`
+    /// when `b` is `None` — where `out_pos` projects the virtual
+    /// concatenation `ta ⧺ tb` onto the view's key order. The keys
+    /// within each factor must be distinct. Every product key receives
+    /// exactly one `⊕ (pa ⊗ pb)`, as [`ViewStore::insert_ref`] applies
+    /// it, and support transitions (`+1` appeared, `-1` disappeared)
+    /// are appended to `transitions` when given.
+    ///
+    /// The join direction follows cardinality. When `out_pos` permutes
+    /// all of the product's columns and the product has at least half
+    /// as many pairs as the view has keys, the view's entry arena is
+    /// scanned once: each entry finds its factor pair through two small
+    /// key maps over `a` and `b`, and the product keys the scan did not
+    /// meet are inserted afterwards. Otherwise each product pair probes
+    /// the view. Both directions apply the same structural changes in
+    /// the same order (product order), so they leave identical entry
+    /// ids, arena order and index buckets; only the order of captured
+    /// pairs differs. The buffers live in `scratch`, so a warmed merge
+    /// allocates nothing.
+    pub(crate) fn merge_product(
+        &mut self,
+        a: &[(Tuple, R)],
+        b: Option<&[(Tuple, R)]>,
+        out_pos: &[usize],
+        scratch: &mut ProductScratch,
+        transitions: Option<&mut Vec<(Tuple, i8)>>,
+    ) {
+        let pairs = a.len() * b.map_or(1, <[_]>::len);
+        if pairs == 0 {
+            return;
+        }
+        let arity = a[0].0.len() + b.map_or(0, |b| b[0].0.len());
+        if self.scans(pairs, arity, out_pos) {
+            self.merge_product_scan(a, b, out_pos, scratch, transitions);
+        } else {
+            self.merge_product_probe(a, b, out_pos, transitions);
+        }
+    }
+
+    /// The cost rule of [`ViewStore::merge_product`]: scan the view
+    /// when its keys are exactly the product's columns and the product
+    /// covers at least half of it.
+    fn scans(&self, pairs: usize, arity: usize, out_pos: &[usize]) -> bool {
+        out_pos.len() == arity && pairs * 2 >= self.data.len()
+    }
+
+    /// [`ViewStore::merge_product`] by one view probe per product pair.
+    fn merge_product_probe(
+        &mut self,
+        a: &[(Tuple, R)],
+        b: Option<&[(Tuple, R)]>,
+        out_pos: &[usize],
+        mut transitions: Option<&mut Vec<(Tuple, i8)>>,
+    ) {
+        let mut merge = |store: &mut Self, key: Tuple, p: R| {
+            let sign = match store.insert_ref(&key, p) {
+                SupportChange::Appeared => 1,
+                SupportChange::Disappeared => -1,
+                SupportChange::Unchanged => return,
+            };
+            if let Some(tr) = transitions.as_deref_mut() {
+                tr.push((key, sign));
+            }
+        };
+        match b {
+            None => {
+                for (t, p) in a {
+                    merge(self, t.project(out_pos), p.clone());
+                }
+            }
+            Some(b) => {
+                for (ta, pa) in a {
+                    for (tb, pb) in b {
+                        let p = pa.mul(pb);
+                        if !p.is_zero() {
+                            merge(self, ta.concat_project(tb, out_pos), p);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`ViewStore::merge_product`] by one scan of the view's arena.
+    /// Pair `(i, j)` has product index `i·|b| + j`. The scan adds each
+    /// met pair's product in place and records met pairs in a bitmap
+    /// and zero crossings in a list. A walk in product order then
+    /// erases the crossings and inserts the unmet pairs, interleaved
+    /// exactly as the probe direction meets them.
+    fn merge_product_scan(
+        &mut self,
+        a: &[(Tuple, R)],
+        b: Option<&[(Tuple, R)]>,
+        out_pos: &[usize],
+        s: &mut ProductScratch,
+        mut transitions: Option<&mut Vec<(Tuple, i8)>>,
+    ) {
+        let nb = b.map_or(1, <[_]>::len);
+        let pairs = a.len() * nb;
+        // Store-key position of each product column.
+        let a_arity = a[0].0.len();
+        s.a_pos.clear();
+        s.a_pos.resize(a_arity, 0);
+        s.b_pos.clear();
+        s.b_pos.resize(out_pos.len() - a_arity, 0);
+        for (k, &c) in out_pos.iter().enumerate() {
+            match c.checked_sub(a_arity) {
+                None => s.a_pos[c] = k,
+                Some(c) => s.b_pos[c] = k,
+            }
+        }
+        index_factor(&mut s.a_ids, a);
+        if let Some(b) = b {
+            index_factor(&mut s.b_ids, b);
+        }
+        s.met.clear();
+        s.met.resize(pairs.div_ceil(64), 0);
+        s.zeroed.clear();
+        for (id, key, payload) in self.data.iter_ids_mut() {
+            let Some(&i) = s.a_ids.get(&ProjKey::new(key, &s.a_pos)) else {
+                continue;
+            };
+            let pa = &a[i as usize].1;
+            let (k, p) = match b {
+                None => (i as usize, pa.clone()),
+                Some(b) => match s.b_ids.get(&ProjKey::new(key, &s.b_pos)) {
+                    Some(&j) => (i as usize * nb + j as usize, pa.mul(&b[j as usize].1)),
+                    None => continue,
+                },
+            };
+            s.met[k / 64] |= 1 << (k % 64);
+            if p.is_zero() {
+                continue;
+            }
+            if let Some(buf) = &mut self.capture {
+                buf.push((key.clone(), p.clone()));
+            }
+            self.version += 1;
+            payload.add_assign(&p);
+            if payload.is_zero() {
+                s.zeroed.push((k, id));
+            }
+        }
+        s.zeroed.sort_unstable_by_key(|&(k, _)| k);
+        let mut zeroed = s.zeroed.iter().peekable();
+        let mut erase_before = |store: &mut Self, k: usize, tr: &mut Option<&mut Vec<_>>| {
+            while let Some(&(_, id)) = zeroed.next_if(|&&(zk, _)| zk < k) {
+                let key = store.erase(id);
+                if let Some(tr) = tr.as_deref_mut() {
+                    tr.push((key, -1));
+                }
+            }
+        };
+        for (w, &word) in s.met.iter().enumerate() {
+            let mut unmet = !word;
+            while unmet != 0 {
+                let k = w * 64 + unmet.trailing_zeros() as usize;
+                unmet &= unmet - 1;
+                if k >= pairs {
+                    break;
+                }
+                erase_before(self, k, &mut transitions);
+                let (ta, pa) = &a[k / nb];
+                let (key, p) = match b {
+                    None => (ta.project(out_pos), pa.clone()),
+                    Some(b) => {
+                        let (tb, pb) = &b[k % nb];
+                        (ta.concat_project(tb, out_pos), pa.mul(pb))
+                    }
+                };
+                if self.insert_ref(&key, p) == SupportChange::Appeared {
+                    if let Some(tr) = transitions.as_deref_mut() {
+                        tr.push((key, 1));
+                    }
+                }
+            }
+        }
+        erase_before(self, pairs, &mut transitions);
+    }
+
+    /// Copy for a published snapshot: contents, indexes and version,
+    /// without the change-capture buffer (readers never drain it).
+    pub(crate) fn snapshot_copy(&self) -> Self {
+        ViewStore {
+            schema: self.schema.clone(),
+            data: self.data.clone(),
+            indexes: self.indexes.clone(),
+            version: self.version,
+            capture: None,
         }
     }
 
@@ -614,6 +856,221 @@ mod tests {
         let delta = Relation::from_pairs(sch(&[0]), [(tuple![1], -2i64)]);
         assert!(v.merge(&delta).is_empty());
         assert_eq!(v.get(&tuple![1]), Some(&3));
+    }
+
+    /// A xorshift stream for the merge-direction tests.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Everything a reader can observe of a store: entries with their
+    /// ids in arena order, each index's buckets as probed, the version.
+    type Observed<R> = (Vec<(u32, Tuple, R)>, Vec<Vec<Vec<(Tuple, R)>>>, u64);
+
+    fn observe<R: Ring>(v: &ViewStore<R>) -> Observed<R> {
+        let entries = v
+            .data
+            .iter_ids()
+            .map(|(id, t, p)| (id, t.clone(), p.clone()))
+            .collect();
+        let buckets = (0..v.indexes.len())
+            .map(|ix| {
+                v.indexes[ix]
+                    .map
+                    .iter()
+                    .map(|(k, _)| {
+                        v.probe(ix, k)
+                            .map(|(t, p)| (t.clone(), p.clone()))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        (entries, buckets, v.version)
+    }
+
+    /// A factor of 1 to `max` distinct keys of `arity` columns over
+    /// `0..dom`.
+    fn factor<R: Ring>(
+        g: &mut Gen,
+        max: usize,
+        arity: usize,
+        dom: usize,
+        payloads: &[R],
+    ) -> Vec<(Tuple, R)> {
+        let n = 1 + g.below(max);
+        let mut seen = TupleMap::new();
+        while seen.len() < n {
+            let t = Tuple::new(
+                (0..arity)
+                    .map(|_| fivm_core::Value::Int(g.below(dom) as i64))
+                    .collect(),
+            );
+            seen.upsert(&t, || payloads[g.below(payloads.len())].clone());
+        }
+        seen.iter().map(|(t, p)| (t.clone(), p.clone())).collect()
+    }
+
+    /// Merge `a ⊗ b` into copies of `store` by the scan and the probe
+    /// direction, and require the same entries, ids, buckets, version,
+    /// transitions (in the same order) and captured pairs (as a
+    /// multiset). Returns the merged store and the count of each kind
+    /// of transition, `[disappeared, appeared]`.
+    fn merge_both<R: Ring + PartialEq + std::fmt::Debug>(
+        store: &ViewStore<R>,
+        a: &[(Tuple, R)],
+        b: Option<&[(Tuple, R)]>,
+        out_pos: &[usize],
+        scratch: &mut ProductScratch,
+    ) -> (ViewStore<R>, [usize; 2]) {
+        let (mut scan, mut probe) = (store.clone(), store.clone());
+        scan.set_capture(true);
+        probe.set_capture(true);
+        let (mut ts, mut tp) = (Vec::new(), Vec::new());
+        scan.merge_product_scan(a, b, out_pos, scratch, Some(&mut ts));
+        probe.merge_product_probe(a, b, out_pos, Some(&mut tp));
+        assert_eq!(ts, tp, "transitions");
+        assert_eq!(observe(&scan), observe(&probe), "store state");
+        assert!(scan.version() > store.version(), "the version moved");
+        let (mut cs, mut cp) = (Vec::new(), Vec::new());
+        scan.drain_captured(&mut cs);
+        probe.drain_captured(&mut cp);
+        assert_eq!(
+            cs.len() as u64,
+            scan.version() - store.version(),
+            "one pair per change"
+        );
+        cs.sort_by(|x, y| x.0.cmp(&y.0));
+        cp.sort_by(|x, y| x.0.cmp(&y.0));
+        assert_eq!(cs, cp, "captured pairs");
+        scan.set_capture(false);
+        let appeared = ts.iter().filter(|(_, s)| *s == 1).count();
+        (scan, [ts.len() - appeared, appeared])
+    }
+
+    /// Drive both merge directions over a store `(X, Y, Z)` with
+    /// secondary indexes on `Y` and `(X, Z)`: the product's coverage of
+    /// the store above, at and below the cost rule's threshold;
+    /// payloads that cancel stored ones exactly; product keys absent
+    /// from the store; the two-factor and the single-factor form; and
+    /// three merges in a row per store, so later ones reuse the cells
+    /// earlier ones freed and the scratch holds stale contents.
+    fn merge_directions_agree<R: Ring + PartialEq + std::fmt::Debug>(payloads: &[R]) {
+        let mut scratch = ProductScratch::default();
+        let mut transitions = [0, 0];
+        for seed in 1..=12u64 {
+            let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for (coverage, single) in [(0, false), (2, false), (4, false), (0, true), (4, true)] {
+                // `a` over (Z, X) and `b` over (Y) land in key order
+                // (X, Y, Z) through `[1, 2, 0]`; a single factor over
+                // (Y, Z, X) through `[2, 0, 1]`.
+                let out_pos: &[usize] = if single { &[2, 0, 1] } else { &[1, 2, 0] };
+                let a = factor(
+                    &mut g,
+                    if single { 24 } else { 8 },
+                    3 - usize::from(!single),
+                    4,
+                    payloads,
+                );
+                let b = (!single).then(|| factor(&mut g, 6, 1, 8, payloads));
+                let mut store: ViewStore<R> = ViewStore::new(sch(&[0, 1, 2]));
+                store.ensure_index(&sch(&[1]));
+                store.ensure_index(&sch(&[0, 2]));
+                // Each product key: absent, stored, or stored as the
+                // exact negation of its product (a zero crossing).
+                let pairs: Vec<(Tuple, R)> = match &b {
+                    None => a
+                        .iter()
+                        .map(|(t, p)| (t.project(out_pos), p.clone()))
+                        .collect(),
+                    Some(b) => a
+                        .iter()
+                        .flat_map(|(ta, pa)| {
+                            b.iter()
+                                .map(move |(tb, pb)| (ta.concat_project(tb, out_pos), pa.mul(pb)))
+                        })
+                        .collect(),
+                };
+                for (t, p) in &pairs {
+                    match g.below(4) {
+                        0 => {}
+                        1 => {
+                            store.insert_ref(t, p.neg());
+                        }
+                        _ => {
+                            store.insert_ref(t, payloads[g.below(payloads.len())].clone());
+                        }
+                    }
+                }
+                // Keys outside the product (X ≥ 4) set the coverage.
+                let mut x = 4;
+                while store.len() < coverage * pairs.len() {
+                    store.insert(tuple![x, x % 3, x % 5], payloads[0].clone());
+                    x += 1;
+                }
+                let len = store.len();
+                assert_eq!(store.scans(pairs.len(), 3, out_pos), pairs.len() * 2 >= len);
+                let (mut merged, seen) =
+                    merge_both(&store, &a, b.as_deref(), out_pos, &mut scratch);
+                for _ in 0..2 {
+                    let a2 = factor(&mut g, 8, 2, 4, payloads);
+                    let b2 = factor(&mut g, 6, 1, 8, payloads);
+                    let negated: Vec<_> = a2.iter().map(|(t, p)| (t.clone(), p.neg())).collect();
+                    (merged, _) = merge_both(&merged, &a2, Some(&b2), &[1, 2, 0], &mut scratch);
+                    (merged, _) =
+                        merge_both(&merged, &negated, Some(&b2), &[1, 2, 0], &mut scratch);
+                }
+                transitions[0] += seen[0];
+                transitions[1] += seen[1];
+            }
+        }
+        assert!(
+            transitions[0] > 0 && transitions[1] > 0,
+            "cases cross zero and add keys"
+        );
+    }
+
+    #[test]
+    fn merge_directions_agree_i64() {
+        merge_directions_agree::<i64>(&[1, -1, 2, -3, 5]);
+    }
+
+    #[test]
+    fn merge_directions_agree_f64() {
+        merge_directions_agree::<f64>(&[0.5, -1.5, 2.0, 0.1, -0.75]);
+    }
+
+    /// The cost rule: the scan runs from half coverage up, and never
+    /// when the view's keys are not a permutation of the product's
+    /// columns.
+    #[test]
+    fn merge_product_scan_threshold() {
+        let mut v: ViewStore<i64> = ViewStore::new(sch(&[0, 1]));
+        for i in 0..10i64 {
+            v.insert(tuple![i, i], 1);
+        }
+        assert!(v.scans(5, 2, &[0, 1]));
+        assert!(!v.scans(4, 2, &[0, 1]));
+        assert!(!v.scans(50, 3, &[0, 1]));
+    }
+
+    /// A published copy carries no change-capture buffer; a clone does.
+    #[test]
+    fn snapshot_copy_drops_capture() {
+        let mut v: ViewStore<i64> = ViewStore::new(sch(&[0]));
+        v.set_capture(true);
+        v.insert(tuple![1], 5);
+        let snap = v.snapshot_copy();
+        assert!(!snap.capture_enabled());
+        assert_eq!(observe(&snap), observe(&v));
+        assert!(v.clone().capture_enabled());
     }
 
     #[test]

@@ -90,6 +90,42 @@ fn random_factored(q: &QueryDef, rel: usize, rng: &mut SmallRng, sym_vars: &[Var
     }
 }
 
+/// The matrix chain `A1(X1,X2) A2(X2,X3) A3(X3,X4)` under the §6.1
+/// order, free variables on top, every matrix updatable.
+fn chain_setup() -> (QueryDef, ViewTree, LiftingMap<i64>) {
+    let q = QueryDef::new(
+        &[
+            ("A1", &["X1", "X2"]),
+            ("A2", &["X2", "X3"]),
+            ("A3", &["X3", "X4"]),
+        ],
+        &["X1", "X4"],
+    );
+    let vo = VariableOrder::parse("X1 - X4 - X3 - X2", &q.catalog);
+    let tree = ViewTree::build(&q, &vo);
+    (q, tree, LiftingMap::new())
+}
+
+/// A dense rank-1 delta for `rel`: one vector factor per variable,
+/// each spanning the whole key domain `0..16` with mixed-sign
+/// payloads. Its outer product covers every key a store over the
+/// relation's variables can hold, so those store merges scan the view;
+/// small payloads make entries cross zero and reappear.
+fn dense_factored(q: &QueryDef, rel: usize, rng: &mut SmallRng) -> Delta<i64> {
+    let factors = q.relations[rel]
+        .schema
+        .iter()
+        .map(|&v| {
+            let pairs = (0..16).map(|x| {
+                let m = [1i64, -1, 2, -2][rng.gen_range(0..4)];
+                (Tuple::single(Value::Int(x)), m)
+            });
+            Relation::from_pairs(Schema::new(vec![v]), pairs)
+        })
+        .collect();
+    Delta::factored(factors)
+}
+
 /// Resident working set so sibling joins have partners.
 fn warm(q: &QueryDef, engines: &mut [IvmEngine<i64>], sym_vars: &[VarId], seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -150,6 +186,21 @@ fn check_schedule(
     seed: u64,
     updates: usize,
 ) -> Result<(), TestCaseError> {
+    check_schedule_of(q, tree, lifts, sym_vars, seed, updates, |rel, rng| {
+        random_factored(q, rel, rng, sym_vars)
+    })
+}
+
+/// [`check_schedule`] with deltas drawn by `delta`.
+fn check_schedule_of(
+    q: &QueryDef,
+    tree: &ViewTree,
+    lifts: &LiftingMap<i64>,
+    sym_vars: &[VarId],
+    seed: u64,
+    updates: usize,
+    mut delta: impl FnMut(usize, &mut SmallRng) -> Delta<i64>,
+) -> Result<(), TestCaseError> {
     let all: Vec<usize> = (0..q.relations.len()).collect();
     let mut engines: Vec<IvmEngine<i64>> = (0..4)
         .map(|_| IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone()))
@@ -164,7 +215,7 @@ fn check_schedule(
         // rank-r: a burst of 1–3 factored deltas to the same relation
         let r = rng.gen_range(1..=3);
         for _ in 0..r {
-            let d = random_factored(q, rel, &mut rng, sym_vars);
+            let d = delta(rel, &mut rng);
             let flat = Delta::Flat(d.flatten().reorder(&q.relations[rel].schema));
             engines[0].apply(rel, &d);
             engines[1].apply(rel, &flat);
@@ -209,6 +260,21 @@ fn symbol_keyed_factored_schedules_are_equivalent() {
     for seed in 0..4u64 {
         check_schedule(&q, &tree, &lifts, &sym_vars, seed * 31 + 11, 8)
             .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Dense rank-1 schedules, whose outer products cover the stores they
+/// merge into (the scan direction of the store merge), over the matrix
+/// chain and the triangle with indicators.
+#[test]
+fn dense_rank1_schedules_are_equivalent() {
+    for (q, tree, lifts) in [chain_setup(), triangle_setup()] {
+        for seed in 0..3u64 {
+            check_schedule_of(&q, &tree, &lifts, &[], seed * 65537 + 5, 6, |rel, rng| {
+                dense_factored(&q, rel, rng)
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 }
 

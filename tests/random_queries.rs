@@ -7,7 +7,9 @@
 //! view-tree machinery. A second property checks static evaluation
 //! view by view: every inner view `eval_all` streams out equals the
 //! listing fold (join the children, marginalize, reorder) of its
-//! children, over `i64` and bit for bit over `f64`.
+//! children, over `i64` and bit for bit over `f64`. A third checks
+//! engines whose relations are only partly updatable, preloaded
+//! through `load`, against the naive oracle.
 
 use fivm::prelude::*;
 use proptest::prelude::*;
@@ -250,5 +252,81 @@ proptest! {
             v
         };
         prop_assert_eq!(canon(&engine.result()), canon(&oracle));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Static relations (the paper's "ONE" runs): with a random
+    /// non-empty subset of the relations updatable, µ stores fewer
+    /// views and `load` fills the static part. After a random preload
+    /// through `load`, ±1 updates to the updatable relations must match
+    /// the naive oracle after every step, over random variable orders,
+    /// indicator projections, a `SUM`-style lifting, and the compiled
+    /// paths on or off.
+    #[test]
+    fn static_relations_match_oracle(
+        q in query_strategy(),
+        seed in 0u64..1_000_000,
+        indicators in 0u8..2,
+        fast in 0u8..2,
+        mask in 1u64..16,
+        preload in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec(0i64..3, 3), 1i64..3),
+            0..30,
+        ),
+        updates in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec(0i64..3, 3), prop_oneof![3 => Just(1i64), 1 => Just(-1)]),
+            1..16,
+        ),
+    ) {
+        let n = q.relations.len();
+        let mut updatable: Vec<usize> = (0..n).filter(|r| mask >> r & 1 == 1).collect();
+        if updatable.is_empty() {
+            updatable.push(mask as usize % n);
+        }
+        let vo = random_order(&q, seed);
+        prop_assert!(vo.validate(&q).is_ok());
+        let mut tree = ViewTree::build(&q, &vo);
+        if indicators == 1 {
+            add_indicators(&mut tree, &q);
+        }
+        let mut lifts = LiftingMap::<i64>::new();
+        if let Some(v) = q.all_vars().iter().copied().find(|v| !q.free.contains(*v)) {
+            lifts.set(v, Lifting::from_fn(|x: &Value| x.as_int().unwrap() - 1));
+        }
+        let mut engine: IvmEngine<i64> =
+            IvmEngine::new(q.clone(), tree, &updatable, lifts.clone());
+        engine.set_fast_path(fast == 1);
+        let tuple_of = |rel: usize, vals: &[i64]| {
+            let arity = q.relations[rel].schema.len();
+            Tuple::new(vals.iter().take(arity).map(|&v| Value::Int(v)).collect())
+        };
+        let canon = |r: &Relation<i64>| {
+            let mut v = r.sorted();
+            v.sort();
+            v
+        };
+        let mut db = Database::empty(&q);
+        for (rel_raw, vals, m) in &preload {
+            let rel = rel_raw % n;
+            db.relations[rel].insert(tuple_of(rel, vals), *m);
+        }
+        engine.load(&db);
+        prop_assert_eq!(canon(&engine.result()), canon(&naive_oracle(&q, &db, &lifts)), "after load");
+        for (step, (rel_raw, vals, m)) in updates.iter().enumerate() {
+            let rel = updatable[rel_raw % updatable.len()];
+            let d = Relation::from_pairs(q.relations[rel].schema.clone(), [(tuple_of(rel, vals), *m)]);
+            engine.apply(rel, &Delta::Flat(d.clone()));
+            db.relations[rel].union_in_place(&d);
+            prop_assert_eq!(
+                canon(&engine.result()),
+                canon(&naive_oracle(&q, &db, &lifts)),
+                "update {} to relation {}",
+                step,
+                rel
+            );
+        }
     }
 }

@@ -397,7 +397,9 @@ fn symbol_phase() {
 /// all-singleton rank-1 shape and a grouped `[A] ⊗ [C,E]` shape — plus
 /// rank-1 toggles on R and T, so the slot program (cross, fused join,
 /// store flatten via `concat_project`), the plan-cache probe, and the
-/// accumulator all run with warmed buffers.
+/// accumulator all run with warmed buffers. A dense S toggle covers
+/// the whole (A, C) view, so its store merge takes the scan direction,
+/// whose key maps and bitmap must be warmed too.
 fn factored_phase() {
     let q = QueryDef::example_rst(&[]);
     let vo = VariableOrder::parse("A - { B, C - { D, E } }", &q.catalog);
@@ -420,6 +422,8 @@ fn factored_phase() {
     let var = |n: &str| q.catalog.lookup(n).unwrap();
     let (a, b, c, d_, e) = (var("A"), var("B"), var("C"), var("D"), var("E"));
     let vec1 = |v, x: i64, m: i64| Relation::from_pairs(Schema::new(vec![v]), [(tuple![x], m)]);
+    let dense =
+        |v, m: i64| Relation::from_pairs(Schema::new(vec![v]), (1..=4).map(|x| (tuple![x], m)));
     // Toggle cycle: every insert has its cancelling negation.
     let cycle: Vec<(usize, Delta<i64>)> = vec![
         // S as three vector factors (the precompiled rank-1 shape),
@@ -453,7 +457,30 @@ fn factored_phase() {
         (0, Delta::factored(vec![vec1(a, 9, -1), vec1(b, 90, 1)])),
         (2, Delta::factored(vec![vec1(c, 2, 1), vec1(d_, 2, 1)])),
         (2, Delta::factored(vec![vec1(c, 2, -1), vec1(d_, 2, 1)])),
+        // Dense S toggles: the 4 × 4 outer product over (A, C), on
+        // resident and fresh keys, covers all of the (A, C) view, so
+        // its store merge scans the view instead of probing it once
+        // per product pair.
+        (
+            1,
+            Delta::factored(vec![dense(a, 1), dense(c, 1), vec1(e, 3, 1)]),
+        ),
+        (
+            1,
+            Delta::factored(vec![dense(a, -1), dense(c, 1), vec1(e, 3, 1)]),
+        ),
     ];
+    let tree = engine.tree();
+    let ac_view = (0..tree.nodes.len())
+        .find(|&n| {
+            tree.nodes[n].keys.len() == 2 && [a, c].iter().all(|v| tree.nodes[n].keys.contains(*v))
+        })
+        .expect("the (A, C) view");
+    let ac_keys = engine.view_store(ac_view).expect("stored").len();
+    assert!(
+        2 * 16 >= ac_keys + 16,
+        "the dense toggles cover the (A, C) view"
+    );
 
     // Warm-up: grows slot buffers, plan caches (both shapes compile
     // here), accumulator storage and view tables.
