@@ -133,30 +133,10 @@ pub struct Housing {
     pub tuples: Vec<Vec<Tuple>>,
 }
 
-/// Generate a Housing instance per the scaling law above. Postcodes are
-/// integers; see [`generate_string_postcodes`] for the string-keyed
-/// variant.
+/// Generate a Housing instance per the scaling law above.
 pub fn generate(cfg: &HousingConfig) -> Housing {
-    generate_with(cfg, |_, pc| Value::Int(pc as i64))
-}
-
-/// The string-keyed variant: the shared join key `postcode` is a real
-/// postcode string (`"PC004217"`), interned into the query catalog once
-/// per postcode — every star-join probe then hashes and compares a
-/// 4-byte symbol instead of string content. Same RNG stream as
-/// [`generate`], so the instances are identical up to the key
-/// relabeling; aggregate over a private numeric column (e.g. `price`)
-/// since a string postcode can no longer be summed.
-pub fn generate_string_postcodes(cfg: &HousingConfig) -> Housing {
-    generate_with(cfg, |q, pc| q.catalog.sym(&format!("PC{pc:06}")))
-}
-
-fn generate_with(cfg: &HousingConfig, pc_value: impl Fn(&QueryDef, usize) -> Value) -> Housing {
     let q = query();
     let order = variable_order(&q);
-    // One key value per postcode, built (and for the string variant
-    // interned) at load; tuple construction below only clones it.
-    let postcodes: Vec<Value> = (0..cfg.postcodes).map(|pc| pc_value(&q, pc)).collect();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let widths = [
         HOUSE_ATTRS.len(),
@@ -171,10 +151,10 @@ fn generate_with(cfg: &HousingConfig, pc_value: impl Fn(&QueryDef, usize) -> Val
     let copies = [cfg.scale, cfg.scale, 1, cfg.scale, 1, 1];
     let mut tuples: Vec<Vec<Tuple>> = vec![Vec::new(); 6];
     for (ri, (&w, &k)) in widths.iter().zip(&copies).enumerate() {
-        for pc_val in &postcodes {
+        for pc in 0..cfg.postcodes {
             for _ in 0..k {
                 let mut vals = Vec::with_capacity(w + 1);
-                vals.push(pc_val.clone());
+                vals.push(Value::Int(pc as i64));
                 vals.extend((0..w).map(|_| Value::Int(rng.gen_range(0..1_000))));
                 tuples[ri].push(Tuple::new(vals));
             }
@@ -256,29 +236,5 @@ mod tests {
             seed: 42,
         };
         assert_eq!(generate(&cfg).tuples, generate(&cfg).tuples);
-    }
-
-    #[test]
-    fn string_postcode_variant_relabels_the_same_instance() {
-        let cfg = HousingConfig {
-            postcodes: 8,
-            scale: 2,
-            seed: 9,
-        };
-        let ints = generate(&cfg);
-        let strs = generate_string_postcodes(&cfg);
-        for (rel_i, rel_s) in ints.tuples.iter().zip(&strs.tuples) {
-            assert_eq!(rel_i.len(), rel_s.len());
-            for (ti, ts) in rel_i.iter().zip(rel_s) {
-                let pc = ti.get(0).as_int().unwrap();
-                let id = ts.get(0).as_sym().expect("string postcode is a symbol");
-                assert_eq!(
-                    strs.query.catalog.resolve_sym(id),
-                    Some(format!("PC{pc:06}").as_str())
-                );
-                // Private attributes are identical (same RNG stream).
-                assert_eq!(&ti.values()[1..], &ts.values()[1..]);
-            }
-        }
     }
 }

@@ -16,7 +16,7 @@
 //! * [`matrices`] — dense random matrices and their relational
 //!   encodings for the matrix-chain workload (Figure 6).
 //! * [`stream`] — round-robin interleaving of inserts into fixed-size
-//!   batches, including single-relation (ONE) streams.
+//!   batches.
 //! * [`zipf`] — Zipf(s) rank sampling with a tail-exponent estimator,
 //!   behind the degree-skewed Twitter streams of the heavy/light
 //!   crossover experiments.

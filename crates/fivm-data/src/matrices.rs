@@ -77,13 +77,6 @@ pub fn one_row_update(n: usize, row: usize, rng: &mut SmallRng) -> (Vec<f64>, Ve
     (u, random_vector(n, rng))
 }
 
-/// A rank-r update as `r` rank-1 factor pairs (Figure 6 right).
-pub fn rank_r_update(n: usize, r: usize, rng: &mut SmallRng) -> Vec<(Vec<f64>, Vec<f64>)> {
-    (0..r)
-        .map(|_| (random_vector(n, rng), random_vector(n, rng)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -157,9 +157,6 @@ pub struct Retailer {
     pub order: VariableOrder,
     /// Tuples per relation, in generation order.
     pub tuples: Vec<Vec<Tuple>>,
-    /// Index of the fact relation (`Inventory`) — the §7 “largest
-    /// relation” for the ONE scenarios.
-    pub largest: usize,
 }
 
 /// Generate a Retailer instance.
@@ -232,7 +229,6 @@ pub fn generate(cfg: &RetailerConfig) -> Retailer {
         query: q,
         order,
         tuples,
-        largest: 0,
     }
 }
 
@@ -241,12 +237,6 @@ impl Retailer {
     /// batch size (the §7 default workload).
     pub fn stream(&self, batch_size: usize) -> Vec<Batch> {
         crate::stream::interleave_round_robin(&self.tuples, batch_size)
-    }
-
-    /// Insert stream restricted to the fact relation (the ONE scenario),
-    /// with all other relations preloaded statically.
-    pub fn stream_largest_only(&self, batch_size: usize) -> Vec<Batch> {
-        crate::stream::single_relation(self.largest, &self.tuples[self.largest], batch_size)
     }
 }
 
@@ -341,11 +331,5 @@ mod tests {
         let total: usize = batches.iter().map(|b| b.tuples.len()).sum();
         let expected: usize = r.tuples.iter().map(Vec::len).sum();
         assert_eq!(total, expected);
-        let one = r.stream_largest_only(16);
-        assert!(one.iter().all(|b| b.relation == r.largest));
-        assert_eq!(
-            one.iter().map(|b| b.tuples.len()).sum::<usize>(),
-            r.tuples[r.largest].len()
-        );
     }
 }

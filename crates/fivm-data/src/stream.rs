@@ -43,18 +43,6 @@ pub fn interleave_round_robin(per_rel: &[Vec<Tuple>], batch_size: usize) -> Vec<
     out
 }
 
-/// A stream over a single relation (the ONE scenarios of §7).
-pub fn single_relation(rel: RelIndex, tuples: &[Tuple], batch_size: usize) -> Vec<Batch> {
-    assert!(batch_size > 0);
-    tuples
-        .chunks(batch_size)
-        .map(|chunk| Batch {
-            relation: rel,
-            tuples: chunk.to_vec(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,13 +80,6 @@ mod tests {
             .flat_map(|b| b.tuples.clone())
             .collect();
         assert_eq!(rel0, tuples(4, 0));
-    }
-
-    #[test]
-    fn single_relation_stream() {
-        let batches = single_relation(2, &tuples(5, 9), 2);
-        assert_eq!(batches.len(), 3);
-        assert!(batches.iter().all(|b| b.relation == 2));
     }
 
     #[test]

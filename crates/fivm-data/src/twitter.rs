@@ -57,33 +57,16 @@ pub struct Twitter {
 }
 
 /// Generate edges and split them round-robin into R, S, T (mirroring
-/// the paper’s equal three-way split of the edge list). Node ids are
-/// integers; see [`generate_handles`] for the string-keyed variant.
+/// the paper’s equal three-way split of the edge list).
 pub fn generate(cfg: &TwitterConfig) -> Twitter {
-    generate_with(cfg, |_, i| Value::Int(i as i64))
-}
-
-/// The string-keyed variant: nodes are Twitter **handles**
-/// (`"@user000042"`), interned into the query catalog once per node —
-/// every edge endpoint, probe and route then ships a 4-byte symbol.
-/// Same RNG stream as [`generate`], so the two variants produce the
-/// same graph up to the node relabeling.
-pub fn generate_handles(cfg: &TwitterConfig) -> Twitter {
-    generate_with(cfg, |q, i| q.catalog.sym(&format!("@user{i:06}")))
-}
-
-fn generate_with(cfg: &TwitterConfig, node: impl Fn(&QueryDef, usize) -> Value) -> Twitter {
     let q = query();
     let order = variable_order(&q);
-    // Materialize the node domain once — interning (for the handle
-    // variant) happens here, at load, never per edge.
-    let nodes: Vec<Value> = (0..cfg.nodes).map(|i| node(&q, i)).collect();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut tuples: Vec<Vec<Tuple>> = vec![Vec::new(); 3];
     for e in 0..cfg.edges {
-        let u = rng.gen_range(0..cfg.nodes);
-        let v = rng.gen_range(0..cfg.nodes);
-        tuples[e % 3].push(Tuple::new(vec![nodes[u].clone(), nodes[v].clone()]));
+        let u = rng.gen_range(0..cfg.nodes) as i64;
+        let v = rng.gen_range(0..cfg.nodes) as i64;
+        tuples[e % 3].push(Tuple::new(vec![Value::Int(u), Value::Int(v)]));
     }
     Twitter {
         query: q,
@@ -146,11 +129,6 @@ impl Twitter {
     pub fn stream(&self, batch_size: usize) -> Vec<Batch> {
         crate::stream::interleave_round_robin(&self.tuples, batch_size)
     }
-
-    /// Stream over R only (the Figure 13 ONE scenario).
-    pub fn stream_r_only(&self, batch_size: usize) -> Vec<Batch> {
-        crate::stream::single_relation(0, &self.tuples[0], batch_size)
-    }
 }
 
 #[cfg(test)]
@@ -189,30 +167,6 @@ mod tests {
             for t in rel {
                 assert!(t.get(0).as_int().unwrap() < 10);
                 assert!(t.get(1).as_int().unwrap() < 10);
-            }
-        }
-    }
-
-    #[test]
-    fn handle_variant_is_the_same_graph_relabeled() {
-        let cfg = TwitterConfig {
-            edges: 120,
-            nodes: 20,
-            seed: 11,
-        };
-        let ints = generate(&cfg);
-        let handles = generate_handles(&cfg);
-        assert_eq!(ints.tuples[0].len(), handles.tuples[0].len());
-        for (rel_i, rel_h) in ints.tuples.iter().zip(&handles.tuples) {
-            for (ti, th) in rel_i.iter().zip(rel_h) {
-                for pos in 0..2 {
-                    let node = ti.get(pos).as_int().unwrap() as usize;
-                    let id = th.get(pos).as_sym().expect("handle endpoints are symbols");
-                    assert_eq!(
-                        handles.query.catalog.resolve_sym(id),
-                        Some(format!("@user{node:06}").as_str())
-                    );
-                }
             }
         }
     }

@@ -374,6 +374,8 @@ type ShapeCache<R> = Vec<(FactorShape, Option<Arc<FactoredPlan<R>>>)>;
 
 /// Reusable per-update buffers; capacity warms up and is never
 /// released, which is what makes the steady state allocation-free.
+/// The engine holds it boxed, so an update takes it out and puts it
+/// back by moving one pointer.
 struct Scratch<R> {
     /// Ping-pong delta buffers.
     a: Vec<(Tuple, R)>,
@@ -388,6 +390,8 @@ struct Scratch<R> {
     /// Factor slot buffers for the compiled factored path (grow-only,
     /// shared across every cached [`FactoredPlan`]).
     slots: Vec<Vec<(Tuple, R)>>,
+    /// Key maps, bitmap and zero list of the factored store merges.
+    product: ProductScratch,
 }
 
 impl<R: Ring> Default for Scratch<R> {
@@ -399,6 +403,7 @@ impl<R: Ring> Default for Scratch<R> {
             ind: Vec::new(),
             acc: DeltaAccumulator::with_thresholds(FAST_PATH_LINEAR_MERGE, FAST_PATH_HASH_MERGE),
             slots: Vec::new(),
+            product: ProductScratch::default(),
         }
     }
 }
@@ -453,13 +458,9 @@ pub struct IvmEngine<R: Ring> {
     /// instead of forming the cross product that the projection would
     /// immediately discard (§6.3).
     payload_preproject: Option<PayloadPreprojection<R>>,
-    scratch: Scratch<R>,
-    /// Key maps, bitmap and zero list of the factored store merges,
-    /// reused across updates. Kept out of [`Scratch`], which every
-    /// update moves out of the engine and back, so single-tuple
-    /// updates would pay for its size; boxed, so the engine's own
-    /// layout barely changes.
-    product: Box<ProductScratch>,
+    /// `None` only while an update has it out, or after one panicked
+    /// (the next update then starts from a fresh one).
+    scratch: Option<Box<Scratch<R>>>,
     /// Whether flat deltas may take the compiled fast path (disabled by
     /// benchmarks and differential tests to expose the general path).
     fast_path: bool,
@@ -581,8 +582,7 @@ impl<R: Ring> IvmEngine<R> {
             ind_counts,
             payload_transform: None,
             payload_preproject: None,
-            scratch: Scratch::default(),
-            product: Box::default(),
+            scratch: Some(Box::default()),
             fast_path: true,
             workers: parallel::env_workers(),
             par_threshold: parallel::env_parallel_threshold(),
@@ -1364,7 +1364,7 @@ impl<R: Ring> IvmEngine<R> {
     /// Apply a flat delta of any size through the compiled plan.
     /// Steady-state allocation-free: see the module docs.
     fn apply_fast(&mut self, rel: RelIndex, delta: &Relation<R>, fast: &FastPlan<R>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = self.scratch.take().unwrap_or_default();
         scratch.transitions.clear();
 
         let indicators = self.rel_indicators[rel].clone();
@@ -1379,7 +1379,7 @@ impl<R: Ring> IvmEngine<R> {
             .extend(delta.iter().map(|(t, p)| (t.clone(), p.clone())));
         self.run_fast_steps(fast, &mut scratch);
         self.run_indicators(&indicators, &mut scratch);
-        self.scratch = scratch;
+        self.scratch = Some(scratch);
     }
 
     /// Maintain and propagate the indicator projections of a relation
@@ -1712,7 +1712,7 @@ impl<R: Ring> IvmEngine<R> {
     /// inline-tuple width, like the flat path.
     fn apply_factored(&mut self, rel: RelIndex, factors: &[Relation<R>], plan: &FactoredPlan<R>) {
         debug_assert_eq!(factors.len(), plan.shape_len);
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = self.scratch.take().unwrap_or_default();
         scratch.transitions.clear();
         if scratch.slots.len() < plan.n_slots {
             scratch.slots.resize_with(plan.n_slots, Vec::new);
@@ -1731,14 +1731,17 @@ impl<R: Ring> IvmEngine<R> {
             }
             let store = self.views[plan.entry].as_mut().expect("entry stored");
             let Scratch {
-                slots, transitions, ..
-            } = &mut scratch;
-            es.merge(store, slots, &mut self.product, Some(transitions));
+                slots,
+                transitions,
+                product,
+                ..
+            } = &mut *scratch;
+            es.merge(store, slots, product, Some(transitions));
         }
 
         self.run_factored_steps(plan, &mut scratch);
         self.run_indicators(&indicators, &mut scratch);
-        self.scratch = scratch;
+        self.scratch = Some(scratch);
     }
 
     /// Walk the compiled factored steps over the slot buffers.
@@ -1752,7 +1755,7 @@ impl<R: Ring> IvmEngine<R> {
             }
             if let Some(st) = &step.store {
                 let store = self.views[step.node].as_mut().expect("stored node");
-                st.merge(store, &scratch.slots, &mut self.product, None);
+                st.merge(store, &scratch.slots, &mut scratch.product, None);
             }
         }
     }

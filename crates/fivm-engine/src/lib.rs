@@ -21,7 +21,7 @@
 //!   per-view output-delta subscriptions.
 //! * Baselines from the paper’s evaluation (§7): [`FirstOrderIvm`]
 //!   (1-IVM), [`RecursiveIvm`] (DBToaster-style fully recursive
-//!   higher-order IVM — DBT / DBT-RING), and [`reeval`] (F-RE, DBT-RE).
+//!   higher-order IVM — DBT / DBT-RING), and [`reeval`] (F-RE).
 //! * [`memory`] — approximate byte accounting replacing the paper’s
 //!   gperftools profiles.
 

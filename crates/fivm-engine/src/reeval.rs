@@ -1,15 +1,13 @@
-//! Re-evaluation baselines (paper Appendix C, Figure 11):
-//!
-//! * [`FactorizedReeval`] (F-RE) — recomputes the result from scratch on
-//!   every update, but *using the factorized view-tree plan*.
-//! * [`NaiveReeval`] (DBT-RE) — recomputes by joining all relations into
-//!   the listing representation first and aggregating afterwards.
-//!
-//! Both illustrate the first factorization lock (factorized evaluation)
-//! in isolation from incremental maintenance.
+//! Re-evaluation baseline (paper Appendix C, Figure 11):
+//! [`FactorizedReeval`] (F-RE) recomputes the result from scratch on
+//! every update, but *using the factorized view-tree plan*. It
+//! illustrates the first factorization lock (factorized evaluation) in
+//! isolation from incremental maintenance. The unit tests check it
+//! against DBT-RE, which joins all relations into the listing
+//! representation first and aggregates afterwards.
 
 use crate::eval::{eval_tree, Database};
-use fivm_core::{Delta, Lifting, LiftingMap, Relation, Ring};
+use fivm_core::{Delta, LiftingMap, Relation, Ring};
 use fivm_query::{QueryDef, RelIndex, ViewTree};
 
 /// F-RE: factorized re-evaluation on every update.
@@ -48,68 +46,69 @@ impl<R: Ring> FactorizedReeval<R> {
     }
 }
 
-/// DBT-RE: naive join-then-aggregate re-evaluation on every update.
-pub struct NaiveReeval<R: Ring> {
-    query: QueryDef,
-    liftings: LiftingMap<R>,
-    db: Database<R>,
-    result: Relation<R>,
-}
-
-impl<R: Ring> NaiveReeval<R> {
-    /// Build for a query.
-    pub fn new(query: QueryDef, liftings: LiftingMap<R>) -> Self {
-        let db = Database::empty(&query);
-        let mut s = NaiveReeval {
-            query,
-            liftings,
-            db,
-            result: Relation::new(fivm_core::Schema::empty()),
-        };
-        s.recompute();
-        s
-    }
-
-    fn recompute(&mut self) {
-        // join everything (the listing representation)…
-        let mut acc = self.db.relations[0].clone();
-        for r in &self.db.relations[1..] {
-            acc = acc.join(r);
-        }
-        // …then aggregate the bound variables
-        let margins: Vec<(u32, Lifting<R>)> = acc
-            .schema()
-            .iter()
-            .filter(|v| !self.query.free.contains(**v))
-            .map(|&v| (v, self.liftings.get(v)))
-            .collect();
-        let out = acc.marginalize_many(&margins);
-        self.result = if out.schema().len() == self.query.free.len() {
-            out.reorder(&self.query.free)
-        } else {
-            out
-        };
-    }
-
-    /// Apply an update: fold into the base relation and recompute.
-    pub fn apply(&mut self, rel: RelIndex, delta: &Delta<R>) {
-        let flat = delta.flatten().reorder(&self.query.relations[rel].schema);
-        self.db.relations[rel].union_in_place(&flat);
-        self.recompute();
-    }
-
-    /// The current result.
-    pub fn result(&self) -> &Relation<R> {
-        &self.result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fivm_core::lifting::int_identity;
     use fivm_core::tuple;
+    use fivm_core::{Lifting, Schema};
     use fivm_query::VariableOrder;
+
+    /// DBT-RE: naive join-then-aggregate re-evaluation on every update.
+    struct NaiveReeval<R: Ring> {
+        query: QueryDef,
+        liftings: LiftingMap<R>,
+        db: Database<R>,
+        result: Relation<R>,
+    }
+
+    impl<R: Ring> NaiveReeval<R> {
+        /// Build for a query.
+        fn new(query: QueryDef, liftings: LiftingMap<R>) -> Self {
+            let db = Database::empty(&query);
+            let mut s = NaiveReeval {
+                query,
+                liftings,
+                db,
+                result: Relation::new(Schema::empty()),
+            };
+            s.recompute();
+            s
+        }
+
+        fn recompute(&mut self) {
+            // join everything (the listing representation)…
+            let mut acc = self.db.relations[0].clone();
+            for r in &self.db.relations[1..] {
+                acc = acc.join(r);
+            }
+            // …then aggregate the bound variables
+            let margins: Vec<(u32, Lifting<R>)> = acc
+                .schema()
+                .iter()
+                .filter(|v| !self.query.free.contains(**v))
+                .map(|&v| (v, self.liftings.get(v)))
+                .collect();
+            let out = acc.marginalize_many(&margins);
+            self.result = if out.schema().len() == self.query.free.len() {
+                out.reorder(&self.query.free)
+            } else {
+                out
+            };
+        }
+
+        /// Apply an update: fold into the base relation and recompute.
+        fn apply(&mut self, rel: RelIndex, delta: &Delta<R>) {
+            let flat = delta.flatten().reorder(&self.query.relations[rel].schema);
+            self.db.relations[rel].union_in_place(&flat);
+            self.recompute();
+        }
+
+        /// The current result.
+        fn result(&self) -> &Relation<R> {
+            &self.result
+        }
+    }
 
     #[test]
     fn both_reevals_agree_with_each_other() {

@@ -88,7 +88,7 @@ fn main() {
         engine.set_fast_path(fast);
         let label = if fast { "fast" } else { "general" };
         // Deltas are pre-built so the timings track `IvmEngine::apply`
-        // itself (the PR 1 smoke protocol).
+        // itself.
         let deltas: Vec<(usize, usize, Delta<f64>)> = batches
             .iter()
             .map(|b| {

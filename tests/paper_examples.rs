@@ -89,6 +89,7 @@ fn example_4_2_materialization() {
 /// DBT-RING (the recursive scheme); on the Housing star join both
 /// yield 7 (six relation views + root). The scalar-payload strategies
 /// maintain one query per aggregate: 990 on Retailer, 406 on Housing.
+/// With only Inventory updatable (ONE) F-IVM stores 4 Retailer views.
 #[test]
 fn section_7_view_counts() {
     let retailer_q = fivm::data::retailer::query();
@@ -130,6 +131,25 @@ fn section_7_view_counts() {
     assert_eq!(spec.aggregate_count(), 990);
     let hspec = CofactorSpec::over_all_vars(&housing_q);
     assert_eq!(hspec.aggregate_count(), 406, "Housing: 406 aggregates (§7)");
+
+    // The ONE runs: only the largest relation is updatable, the rest
+    // are static and filled by `load`. On Retailer μ then stores only
+    // the root and the siblings along Inventory's delta path. The
+    // indicator triangle saves none: R's changes also reach `V@C`
+    // through the indicator ∃R, whose path needs S and T stored, and
+    // R's own path needs `V@C` as a sibling at the root.
+    let stored = |q: &QueryDef, tree: &ViewTree, updatable: &[usize]| {
+        let lifts = CofactorSpec::over_all_vars(q).liftings();
+        IvmEngine::<Cofactor>::new(q.clone(), tree.clone(), updatable, lifts).stored_view_count()
+    };
+    let inventory = retailer_q.relation_index("Inventory").unwrap();
+    assert_eq!(stored(&retailer_q, &rtree, &all), 9, "Retailer ALL (§7)");
+    assert_eq!(stored(&retailer_q, &rtree, &[inventory]), 4, "Retailer ONE");
+    let twitter_q = fivm::data::twitter::query();
+    let mut ttree = ViewTree::build(&twitter_q, &fivm::data::twitter::variable_order(&twitter_q));
+    add_indicators(&mut ttree, &twitter_q);
+    assert_eq!(stored(&twitter_q, &ttree, &[0, 1, 2]), 5, "triangle ALL");
+    assert_eq!(stored(&twitter_q, &ttree, &[0]), 5, "triangle ONE (R)");
 }
 
 /// Example 6.3: the cofactor payload of V@C_ST[a2] from the paper,
